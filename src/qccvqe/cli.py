@@ -42,7 +42,9 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
         _die(EXIT_CONFIG, f"cannot read {path}: {exc}")
-        raise AssertionError  # unreachable
+    except UnicodeDecodeError as exc:
+        _die(EXIT_PARSE, f"{path}: not UTF-8 text: {exc}")
+    raise AssertionError  # unreachable
 
 
 def _load_json(path: Path) -> dict:
@@ -96,7 +98,10 @@ def _build_problem(
 ) -> GeometryProblem:
     """Parse and reduce one FCIDUMP file; raises FcidumpError / ConfigError /
     ValueError for parse, configuration, and numeric problems respectively."""
-    text = fcidump_path.read_text(encoding="utf-8")
+    try:
+        text = fcidump_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise chem.FcidumpError(f"not UTF-8 text: {exc}") from exc
     ints = chem.parse_fcidump(text)
     try:
         mapping = chem.normalize_mapping(mapping)
@@ -348,6 +353,13 @@ class Manifest:
     seed: int
 
 
+def _manifest_int(data: Mapping, key: str) -> int | None:
+    value = data.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _load_manifest(
     path: Path,
     output_override: Path | None,
@@ -375,6 +387,17 @@ def _load_manifest(
                 raise ConfigError(f"geometry {label!r}: missing file {fcid}")
             entries.append(ManifestEntry(label=label, fcidump=fcid))
         window = data.get("orbital_window")
+        if window is not None and not (
+            isinstance(window, list)
+            and all(isinstance(i, int) and not isinstance(i, bool) for i in window)
+        ):
+            raise ConfigError(
+                f"orbital_window must be a list of integers, got {window!r}"
+            )
+        seed = _manifest_int(data, "seed")
+        mapping = data.get("mapping", "jordan_wigner")
+        if not isinstance(mapping, str):
+            raise ConfigError(f"mapping must be a string, got {mapping!r}")
         cfg_data = dict(data.get("qcc", {}))
         cfg_data.update(config_overrides)
         config = QccConfig.from_mapping(cfg_data)
@@ -383,14 +406,14 @@ def _load_manifest(
             out_dir = path.parent / out_dir
         return Manifest(
             entries=tuple(sorted(entries, key=lambda e: e.label)),
-            n_active_electrons=data.get("active_electrons"),
-            n_active_orbitals=data.get("active_orbitals"),
+            n_active_electrons=_manifest_int(data, "active_electrons"),
+            n_active_orbitals=_manifest_int(data, "active_orbitals"),
             window=tuple(window) if window is not None else None,
-            mapping=chem.normalize_mapping(data.get("mapping", "jordan_wigner")),
+            mapping=chem.normalize_mapping(mapping),
             output_dir=out_dir,
             config=config,
-            shots=data.get("shots"),
-            seed=int(data.get("seed", config.seed)),
+            shots=_manifest_int(data, "shots"),
+            seed=config.seed if seed is None else seed,
         )
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         _die(EXIT_CONFIG, f"{path}: {exc}")
@@ -510,18 +533,14 @@ def _run_manifest(manifest: Manifest, workers: int, summary_name: str) -> int:
             continue
         _write_json(out_dir / f"{result.label}.trace.json", result.trace_payload)
         click.echo(
-            f"{result.label}: E_qcc {row_get(result.row, 'E_qcc_total')} "
-            f"E_fci {row_get(result.row, 'E_fci_total')} "
-            f"delta {row_get(result.row, 'delta')} "
-            f"({row_get(result.row, 'iterations')} iterations)"
+            f"{result.label}: E_qcc {result.row['E_qcc_total']} "
+            f"E_fci {result.row['E_fci_total']} "
+            f"delta {result.row['delta']} "
+            f"({result.row['iterations']} iterations)"
         )
     _merge_summary(out_dir / summary_name, rows)
     click.echo(f"summary -> {out_dir / summary_name}")
     return failures
-
-
-def row_get(row: dict[str, str], key: str) -> str:
-    return row.get(key, "")
 
 
 _qcc_overrides = [

@@ -180,16 +180,6 @@ def expectation(state: Statevector, h: QubitHamiltonian) -> float:
     return float(total.real)
 
 
-def pauli_expectation(state: Statevector, p: PauliString) -> complex:
-    """<psi|P|psi> as a complex number (real for Hermitian P, which all are)."""
-    amp = state.amplitudes
-    vec = _pauli_phase_vector(p) * amp
-    if p.x_mask:
-        idx = np.arange(amp.size, dtype=np.uint64) ^ np.uint64(p.x_mask)
-        return complex(np.dot(amp.conj()[idx.astype(np.int64)], vec))
-    return complex(np.dot(amp.conj(), vec))
-
-
 @dataclass(frozen=True, slots=True)
 class MeasurementGroup:
     """Qubit-wise commuting terms measurable in one shared single-qubit basis.
@@ -363,6 +353,7 @@ def per_group_error(
         )
     errors: list[tuple[int, float]] = []
     for (gid, sampled, _), group in zip(estimate.per_group, grouping.groups):
-        exact = sum(c * pauli_expectation(state, p).real for p, c in group.members)
+        members = QubitHamiltonian(state.n_qubits, dict(group.members), prune=0.0)
+        exact = expectation(state, members)
         errors.append((gid, exact - sampled))
     return errors

@@ -50,10 +50,14 @@ __all__ = [
 ]
 
 # Gradient magnitudes below this are treated as exact zeros when ranking
-# candidate generators.
+# candidate generators; magnitudes that round to the same multiple of it rank
+# as ties, so rounding noise cannot reorder equal gradients.
 GRAD_EPS = 1e-12
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Several generators are swept coordinate by coordinate until one sweep lowers
+# the energy by no more than the tolerance, or the sweep cap is reached.
+_SWEEP_TOLERANCE = 1e-13
+_MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -64,12 +68,7 @@ class QccConfig:
     max_iterations: int = 50
     energy_tolerance: float = 1e-6
     prune_threshold: float = DEFAULT_PRUNE
-    amplitude_bound: float = math.pi
-    grid_points: int = 48
-    tau_tolerance: float = 1e-10
-    simplex_restarts: int = 1
-    simplex_maxiter: int = 2000
-    seed: int = 7
+    seed: int = 7  # UCCSD restart; the default shot seed of a manifest
 
     def __post_init__(self) -> None:
         if self.generators_per_iteration < 1:
@@ -80,8 +79,6 @@ class QccConfig:
             raise ValueError("energy_tolerance must be positive")
         if self.prune_threshold < 0:
             raise ValueError("prune_threshold must be non-negative")
-        if not 0 < self.amplitude_bound <= math.pi:
-            raise ValueError("amplitude_bound must be in (0, pi]")
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "QccConfig":
@@ -130,7 +127,8 @@ def screen_generators(
     Hamiltonian terms sharing F contribute to dE/dtau at tau = 0: each
     product P_k R is diagonal, so the gradient reduces to a signed sum of
     coefficients. Groups with zero gradient are dropped; the rest are
-    sorted by descending magnitude, ties broken by canonical string order.
+    sorted by descending magnitude rounded to a multiple of GRAD_EPS, ties
+    broken by canonical string order.
     """
     if h.n_qubits != ref.n_qubits:
         raise ValueError(f"qubit-count mismatch: {h.n_qubits} vs {ref.n_qubits}")
@@ -155,7 +153,9 @@ def screen_generators(
                 grad += c if k == 1 else -c
         if abs(grad) > GRAD_EPS:
             candidates.append(CandidateGenerator(flip_set, rep, abs(grad)))
-    candidates.sort(key=lambda c: (-c.gradient_magnitude, c.representative.key()))
+    candidates.sort(
+        key=lambda c: (-round(c.gradient_magnitude / GRAD_EPS), c.representative.key())
+    )
     return candidates
 
 
@@ -169,99 +169,52 @@ def _circuit_energy(
     return expectation(state, h)
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize a unimodal function on [lo, hi] to +-tol in the argument."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
-
-
-def _wrap_angle(tau: float, bound: float) -> float:
-    wrapped = math.remainder(tau, 2.0 * math.pi)
-    return min(max(wrapped, -bound), bound)
-
-
 def optimize_amplitudes(
     h: QubitHamiltonian,
     ref: Statevector,
     generators: Sequence[PauliString],
-    cfg: QccConfig | None = None,
-    seed: int | None = None,
 ) -> tuple[float, list[float]]:
     """Minimize the circuit energy over the generator amplitudes.
 
-    One generator: a coarse grid over [-bound, bound] brackets the minimum
-    of the (trigonometric, hence smooth) energy curve, then golden-section
-    refines to tau_tolerance. Several generators: bounded Nelder-Mead
-    started at zero plus one seed-determined random restart. The zero
-    point is always evaluated, so the result never exceeds the input
-    energy.
+    Every generator P squares to the identity, so with the other amplitudes
+    fixed the energy is exactly E(tau_j + d) = a + b cos d + c sin d. Two
+    evaluations at d = +-pi/2 fix a and c, the current energy fixes b, and
+    the minimum a - hypot(b, c) sits at d = atan2(-c, -b) (Rotosolve). One
+    generator needs a single exact update; several are swept coordinate by
+    coordinate from zero until a sweep stops lowering the energy. The zero
+    point wins if nothing lower is found, so the result never exceeds the
+    input energy. Amplitudes are returned in [-pi, pi].
     """
     if not generators:
         raise ValueError("no generators to optimize")
-    cfg = cfg or QccConfig()
-    if seed is None:
-        seed = cfg.seed
-    bound = cfg.amplitude_bound
-    e_zero = _circuit_energy(h, ref, generators, [0.0] * len(generators))
-
-    if len(generators) == 1:
-        gen = generators[0]
-
-        def f(tau: float) -> float:
-            return _circuit_energy(h, ref, [gen], [tau])
-
-        grid = np.linspace(-bound, bound, cfg.grid_points, endpoint=False)
-        values = [f(t) for t in grid]
-        best = int(np.argmin(values))
-        step = 2.0 * bound / cfg.grid_points
-        tau_star, e_star = _golden_section(
-            f, grid[best] - step, grid[best] + step, cfg.tau_tolerance
-        )
-        tau_star = _wrap_angle(tau_star, bound)
-        e_star = f(tau_star)
-        if e_star < e_zero:
-            return e_star, [tau_star]
-        return e_zero, [0.0]
-
     n = len(generators)
+    taus = [0.0] * n
 
-    def fun(taus: np.ndarray) -> float:
-        return _circuit_energy(h, ref, generators, taus)
+    def shifted_energy(j: int, shift: float) -> float:
+        shifted = list(taus)
+        shifted[j] += shift
+        return _circuit_energy(h, ref, generators, shifted)
 
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(n)]
-    for _ in range(cfg.simplex_restarts):
-        starts.append(rng.uniform(-bound, bound, size=n))
-    best_e, best_taus = e_zero, [0.0] * n
-    for x0 in starts:
-        result = scipy.optimize.minimize(
-            fun,
-            x0,
-            method="Nelder-Mead",
-            bounds=[(-bound, bound)] * n,
-            options={
-                "maxiter": cfg.simplex_maxiter * n,
-                "xatol": 1e-10,
-                "fatol": 1e-14,
-            },
-        )
-        if result.fun < best_e:
-            best_e = float(result.fun)
-            best_taus = [float(t) for t in result.x]
-    return best_e, best_taus
+    e_zero = e_cur = _circuit_energy(h, ref, generators, taus)
+    for _ in range(_MAX_SWEEPS):
+        e_start = e_cur
+        for j in range(n):
+            e_plus = shifted_energy(j, 0.5 * math.pi)
+            e_minus = shifted_energy(j, -0.5 * math.pi)
+            a = 0.5 * (e_plus + e_minus)
+            b = e_cur - a
+            c = 0.5 * (e_plus - e_minus)
+            swing = math.hypot(b, c)
+            # A flat curve keeps its tau: atan2 of rounding noise would move
+            # it at random and unsettle the other coordinates.
+            if swing > GRAD_EPS:
+                taus[j] = math.remainder(taus[j] + math.atan2(-c, -b), 2.0 * math.pi)
+                e_cur = a - swing
+        if n == 1 or e_start - e_cur <= _SWEEP_TOLERANCE:
+            break
+    if e_cur < e_zero:
+        return e_cur, taus
+    return e_zero, [0.0] * n
 
 
 @dataclass(frozen=True)
@@ -377,14 +330,14 @@ def qcc_run(
     initial_energy = e_prev
     records: list[IterationRecord] = []
     converged = False
-    for i in range(1, cfg.max_iterations + 1):
+    for _ in range(cfg.max_iterations):
         candidates = screen_generators(h, ref)
         if not candidates:
             converged = True
             break
         top = candidates[: cfg.generators_per_iteration]
         generators = [c.representative for c in top]
-        e_opt, taus = optimize_amplitudes(h, ref, generators, cfg, seed=cfg.seed + i)
+        e_opt, taus = optimize_amplitudes(h, ref, generators)
         if e_prev - e_opt < cfg.energy_tolerance:
             converged = True
             break
@@ -513,7 +466,6 @@ def optimize_uccsd(
     if not generator_terms:
         raise ValueError("no generators to optimize")
     cfg = cfg or QccConfig()
-    bound = cfg.amplitude_bound
 
     def build(taus: np.ndarray) -> Statevector:
         state = ref
@@ -528,17 +480,15 @@ def optimize_uccsd(
     n = len(generator_terms)
     e_zero = fun(np.zeros(n))
     rng = np.random.default_rng(cfg.seed)
-    starts = [np.zeros(n)]
-    for _ in range(cfg.simplex_restarts):
-        starts.append(rng.uniform(-0.1, 0.1, size=n))
+    starts = [np.zeros(n), rng.uniform(-0.1, 0.1, size=n)]
     best_e, best_taus = e_zero, [0.0] * n
     for x0 in starts:
         result = scipy.optimize.minimize(
             fun,
             x0,
             method="Nelder-Mead",
-            bounds=[(-bound, bound)] * n,
-            options={"maxiter": cfg.simplex_maxiter * n, "xatol": 1e-8, "fatol": 1e-12},
+            bounds=[(-math.pi, math.pi)] * n,
+            options={"maxiter": 2000 * n, "xatol": 1e-8, "fatol": 1e-12},
         )
         if result.fun < best_e:
             best_e = float(result.fun)

@@ -81,6 +81,18 @@ class TestHam:
         result = runner.invoke(main, ["ham", str(bad)])
         assert result.exit_code == 2
 
+    def test_undecodable_fcidump_exits_parse(self, runner, tmp_path):
+        bad = tmp_path / "latin1.fcidump"
+        bad.write_bytes(b"&FCI NORB=2, NELEC=2, \xe9\n&END\n")
+        result = runner.invoke(main, ["ham", str(bad)])
+        assert result.exit_code == 2, result.output
+
+    def test_undecodable_json_inputs_exit_parse(self, runner, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"schema": "\xe9"}')
+        assert runner.invoke(main, ["extrapolate", str(bad)]).exit_code == 2
+        assert runner.invoke(main, ["measure", str(bad)]).exit_code == 2
+
     def test_missing_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["ham", str(tmp_path / "absent.fcidump")])
         assert result.exit_code == 2
@@ -294,6 +306,44 @@ class TestQcc:
         bad_json = tmp_path / "broken.manifest.json"
         bad_json.write_text("{")
         assert runner.invoke(main, ["qcc", str(bad_json)]).exit_code == 2
+
+        not_utf8 = tmp_path / "latin1.manifest.json"
+        not_utf8.write_bytes(b'{"schema": "qcc-manifest/1", "label": "\xe9"}')
+        assert runner.invoke(main, ["qcc", str(not_utf8)]).exit_code == 2
+
+        removed_knob = tmp_path / "knob.manifest.json"
+        removed_knob.write_text(
+            json.dumps(
+                {
+                    "schema": "qcc-manifest/1",
+                    "geometries": [entry],
+                    "qcc": {"grid_points": 48},
+                }
+            )
+        )
+        assert runner.invoke(main, ["qcc", str(removed_knob)]).exit_code == 4
+
+        mistyped = [
+            {"shots": "100"},
+            {"shots": True},
+            {"seed": "11"},
+            {"seed": 1.5},
+            {"active_electrons": "2"},
+            {"active_orbitals": 2.0},
+            {"orbital_window": "0,1"},
+            {"orbital_window": [0, "1"]},
+            {"orbital_window": [0, True]},
+            {"mapping": 5},
+        ]
+        for extra in mistyped:
+            path = tmp_path / "typed.manifest.json"
+            path.write_text(
+                json.dumps(
+                    {"schema": "qcc-manifest/1", "geometries": [entry], **extra}
+                )
+            )
+            result = runner.invoke(main, ["pes", str(path)])
+            assert result.exit_code == 4, (extra, result.output)
 
 
 class TestPes:
