@@ -401,6 +401,9 @@ def _load_manifest(
         cfg_data = dict(data.get("qcc", {}))
         cfg_data.update(config_overrides)
         config = QccConfig.from_mapping(cfg_data)
+        shots = _manifest_int(data, "shots")
+        if shots is not None and shots < 1:
+            raise ConfigError(f"shots must be positive, got {shots}")
         out_dir = output_override or Path(data.get("output_dir", "qcc-out"))
         if not out_dir.is_absolute() and output_override is None:
             out_dir = path.parent / out_dir
@@ -412,7 +415,7 @@ def _load_manifest(
             mapping=chem.normalize_mapping(mapping),
             output_dir=out_dir,
             config=config,
-            shots=_manifest_int(data, "shots"),
+            shots=shots,
             seed=config.seed if seed is None else seed,
         )
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
@@ -548,7 +551,6 @@ _qcc_overrides = [
                  help="Override the manifest's generator count per iteration."),
     click.option("--max-iterations", type=int, default=None),
     click.option("--energy-tolerance", type=float, default=None),
-    click.option("--seed", type=int, default=None),
 ]
 
 
@@ -564,13 +566,12 @@ def _collect_overrides(**kwargs) -> dict[str, object]:
 @click.option("--workers", type=int, default=None,
               help="Worker pool size (default: available parallelism).")
 def qcc(manifest_path, generators_per_iteration, max_iterations,
-        energy_tolerance, seed, output_dir, workers):
+        energy_tolerance, output_dir, workers):
     """Run the iterative solver for every geometry in a manifest."""
     overrides = _collect_overrides(
         generators_per_iteration=generators_per_iteration,
         max_iterations=max_iterations,
         energy_tolerance=energy_tolerance,
-        seed=seed,
     )
     manifest = _load_manifest(manifest_path, output_dir, overrides)
     workers = workers or min(len(manifest.entries), _default_workers())
@@ -592,19 +593,23 @@ def _default_workers() -> int:
 @click.option("--workers", type=int, default=None)
 @click.option("--shots", type=int, default=None,
               help="Also emulate finite-shot measurement of each final state.")
+@click.option("--seed", type=int, default=None,
+              help="Shot seed (overrides the manifest's).")
 def pes(manifest_path, generators_per_iteration, max_iterations,
-        energy_tolerance, seed, output_dir, workers, shots):
+        energy_tolerance, output_dir, workers, shots, seed):
     """Composite potential-energy-surface sweep: QCC + exact reference per point."""
+    if shots is not None and shots < 1:
+        _die(EXIT_CONFIG, f"shots must be positive, got {shots}")
     overrides = _collect_overrides(
         generators_per_iteration=generators_per_iteration,
         max_iterations=max_iterations,
         energy_tolerance=energy_tolerance,
-        seed=seed,
     )
     manifest = _load_manifest(manifest_path, output_dir, overrides)
     workers = workers or min(len(manifest.entries), _default_workers())
     failures = _run_manifest(manifest, workers, "pes.csv")
     shots = shots if shots is not None else manifest.shots
+    seed = seed if seed is not None else manifest.seed
     if shots:
         for entry in manifest.entries:
             trace_path = manifest.output_dir / f"{entry.label}.trace.json"
@@ -621,7 +626,7 @@ def pes(manifest_path, generators_per_iteration, max_iterations,
                 trace = QccTrace.from_json_dict(_load_json(trace_path))
                 estimate_payload = _measure_state(
                     geom.hamiltonian, trace.reference, trace.all_generators,
-                    shots, manifest.seed,
+                    shots, seed,
                 )
             except (OSError, ValueError, ConfigError) as exc:
                 click.echo(f"geometry {entry.label}: shot emulation: {exc}", err=True)

@@ -326,6 +326,7 @@ class TestQcc:
         mistyped = [
             {"shots": "100"},
             {"shots": True},
+            {"shots": -5},
             {"seed": "11"},
             {"seed": 1.5},
             {"active_electrons": "2"},
@@ -379,6 +380,46 @@ class TestPes:
                 )["e_nuclear"],
                 abs=1e-9,
             )
+
+    def test_seed_flag_sets_the_shot_seed(self, runner, fixtures_dir, tmp_path):
+        manifest = tmp_path / "seeded.manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {
+                    "schema": "qcc-manifest/1",
+                    "geometries": [
+                        {
+                            "label": "1.00",
+                            "fcidump": str(fixtures_dir / "dimer_d1.00.fcidump"),
+                        }
+                    ],
+                    "shots": 256,
+                    "seed": 5,
+                    "qcc": {"seed": 6},
+                }
+            )
+        )
+        for args, seed in (([], 5), (["--seed", "21"], 21)):
+            out_dir = tmp_path / f"seed{seed}"
+            run_checked(
+                runner, ["pes", str(manifest), "--output-dir", str(out_dir), *args]
+            )
+            shots = json.loads((out_dir / "1.00.shots.json").read_text())
+            assert shots["seed"] == seed
+
+    def test_rejects_bad_flags(self, runner, fixtures_dir, tmp_path):
+        manifest = str(fixtures_dir / "dimer.manifest.json")
+        out_dir = str(tmp_path / "out")
+        result = runner.invoke(
+            main, ["pes", manifest, "--output-dir", out_dir, "--shots", "-5"]
+        )
+        assert result.exit_code == 4, result.output
+        assert not (tmp_path / "out").exists()
+        # the QCC solve is deterministic, so qcc takes no seed
+        result = runner.invoke(
+            main, ["qcc", manifest, "--output-dir", out_dir, "--seed", "3"]
+        )
+        assert result.exit_code == 2, result.output
 
 
 class TestExtrapolateCommand:
