@@ -429,6 +429,8 @@ class GeometryResult:
     row: dict[str, str]
     trace_payload: dict | None
     error: str | None
+    hamiltonian: QubitHamiltonian | None = None
+    trace: QccTrace | None = None
 
 
 def _run_geometry(entry: ManifestEntry, manifest: Manifest) -> GeometryResult:
@@ -472,7 +474,7 @@ def _run_geometry(entry: ManifestEntry, manifest: Manifest) -> GeometryResult:
             "parameters_used": str(trace.parameters_used),
             "status": "ok",
         }
-        return GeometryResult(entry.label, row, payload, None)
+        return GeometryResult(entry.label, row, payload, None, geom.hamiltonian, trace)
     except ValueError as exc:
         return GeometryResult(
             label=entry.label,
@@ -519,19 +521,24 @@ def _merge_summary(path: Path, rows: list[dict[str, str]]) -> None:
             writer.writerow(existing[label])
 
 
-def _run_manifest(manifest: Manifest, workers: int, summary_name: str) -> int:
+def _run_manifest(
+    manifest: Manifest, workers: int, summary_name: str
+) -> list[GeometryResult]:
+    """Solve every geometry and write its trace and summary row.
+
+    Exits 3 (numeric) once the summary is written if every geometry failed.
+    """
     out_dir = manifest.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(lambda e: _run_geometry(e, manifest), manifest.entries)
+        results = sorted(
+            pool.map(lambda e: _run_geometry(e, manifest), manifest.entries),
+            key=lambda r: r.label,
         )
     rows = []
-    failures = 0
-    for result in sorted(results, key=lambda r: r.label):
+    for result in results:
         rows.append(result.row)
         if result.error is not None:
-            failures += 1
             click.echo(f"geometry {result.label}: {result.error}", err=True)
             continue
         _write_json(out_dir / f"{result.label}.trace.json", result.trace_payload)
@@ -543,7 +550,9 @@ def _run_manifest(manifest: Manifest, workers: int, summary_name: str) -> int:
         )
     _merge_summary(out_dir / summary_name, rows)
     click.echo(f"summary -> {out_dir / summary_name}")
-    return failures
+    if all(result.error is not None for result in results):
+        _die(EXIT_NUMERIC, "every geometry failed")
+    return results
 
 
 _qcc_overrides = [
@@ -575,9 +584,7 @@ def qcc(manifest_path, generators_per_iteration, max_iterations,
     )
     manifest = _load_manifest(manifest_path, output_dir, overrides)
     workers = workers or min(len(manifest.entries), _default_workers())
-    failures = _run_manifest(manifest, workers, "summary.csv")
-    if failures == len(manifest.entries):
-        _die(EXIT_NUMERIC, "every geometry failed")
+    _run_manifest(manifest, workers, "summary.csv")
 
 
 def _default_workers() -> int:
@@ -607,35 +614,24 @@ def pes(manifest_path, generators_per_iteration, max_iterations,
     )
     manifest = _load_manifest(manifest_path, output_dir, overrides)
     workers = workers or min(len(manifest.entries), _default_workers())
-    failures = _run_manifest(manifest, workers, "pes.csv")
+    results = _run_manifest(manifest, workers, "pes.csv")
     shots = shots if shots is not None else manifest.shots
     seed = seed if seed is not None else manifest.seed
     if shots:
-        for entry in manifest.entries:
-            trace_path = manifest.output_dir / f"{entry.label}.trace.json"
-            if not trace_path.exists():
+        for result in results:
+            if result.error is not None:
                 continue
             try:
-                geom = _build_problem(
-                    entry.fcidump,
-                    manifest.n_active_electrons,
-                    manifest.n_active_orbitals,
-                    manifest.window,
-                    manifest.mapping,
-                )
-                trace = QccTrace.from_json_dict(_load_json(trace_path))
                 estimate_payload = _measure_state(
-                    geom.hamiltonian, trace.reference, trace.all_generators,
-                    shots, seed,
+                    result.hamiltonian, result.trace.reference,
+                    result.trace.all_generators, shots, seed,
                 )
-            except (OSError, ValueError, ConfigError) as exc:
-                click.echo(f"geometry {entry.label}: shot emulation: {exc}", err=True)
+            except ValueError as exc:
+                click.echo(f"geometry {result.label}: shot emulation: {exc}", err=True)
                 continue
             _write_json(
-                manifest.output_dir / f"{entry.label}.shots.json", estimate_payload
+                manifest.output_dir / f"{result.label}.shots.json", estimate_payload
             )
-    if failures == len(manifest.entries):
-        _die(EXIT_NUMERIC, "every geometry failed")
 
 
 @main.command()

@@ -3,8 +3,10 @@
 Provides the dense-matrix rendering of Pauli-sum Hamiltonians and the exact
 lowest eigenvalue, optionally restricted to a fixed-electron-number sector.
 Every numerical claim elsewhere in the package is checked against this
-module, so it stays deliberately simple: build the matrix, call the
-eigensolver.
+module, so it stays deliberately simple: one builder puts the Pauli sum on
+a set of basis states (the C(n, N_e) states of the sector, or all 2^n), and
+an eigensolver takes its two lowest eigenvalues. The chain6 sector is a
+924 x 924 matrix, not a slice of the full 4096 x 4096 one.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .pauli import PauliString, QubitHamiltonian
+from .simulator import _pauli_phase_vector
 
 __all__ = [
     "DENSE_MAX_QUBITS",
@@ -27,8 +30,8 @@ __all__ = [
     "exact_ground",
 ]
 
-# Full dense diagonalization up to 12 qubits; iterative extremal
-# eigensolver for 13-14; larger inputs are refused.
+# Dense diagonalization up to 12 qubits; iterative extremal eigensolver
+# for 13-14; larger inputs are refused.
 DENSE_MAX_QUBITS = 12
 ORACLE_MAX_QUBITS = 14
 
@@ -51,45 +54,47 @@ class GroundState:
     degenerate: bool
 
 
+def _matrix(h: QubitHamiltonian, basis: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Pauli sum on the sorted basis indices `basis`, as CSR.
+
+    Entry (r, c) is <basis[r]|H|basis[c]>, from the action
+    P|b> = i^{|x&z|} (-1)^{|b&z|} |b ^ x>. Terms sharing an x-mask send
+    every column to the same row, so their phases are summed first and
+    placed once per mask. Entries whose row leaves the basis are dropped,
+    which leaves exactly the block of the full matrix on `basis`.
+    """
+    idx = basis.astype(np.uint64)
+    by_flip: dict[int, np.ndarray] = {}
+    for p, c in h.items():
+        vals = c * _pauli_phase_vector(p, idx)
+        prev = by_flip.get(p.x_mask)
+        by_flip[p.x_mask] = vals if prev is None else prev + vals
+    cols = np.arange(idx.size)
+    rows_all, cols_all, vals_all = [], [], []
+    for x_mask, vals in by_flip.items():
+        flipped = idx ^ np.uint64(x_mask)
+        rows = np.minimum(np.searchsorted(idx, flipped), idx.size - 1)
+        inside = idx[rows] == flipped
+        rows_all.append(rows[inside])
+        cols_all.append(cols[inside])
+        vals_all.append(vals[inside])
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
+        shape=(idx.size, idx.size),
+    )
+
+
 def to_dense(h: QubitHamiltonian | PauliString) -> np.ndarray:
     """Dense matrix of a Pauli sum (or a single string) in the shared basis.
 
-    Row/column index b has qubit i at bit i. Built term by term from the
-    action P|b> = i^{|x&z|} (-1)^{|b&z|} |b ^ x> rather than Kronecker
-    products, so the bit convention cannot drift from the simulator's.
+    Row/column index b has qubit i at bit i. Built from the same phase
+    kernel as the simulator rather than Kronecker products, so the bit
+    convention cannot drift between the two.
     """
     if isinstance(h, PauliString):
         h = QubitHamiltonian(h.n_qubits, {h: 1.0})
     _check_size(h.n_qubits)
-    dim = 1 << h.n_qubits
-    idx = np.arange(dim, dtype=np.uint64)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    phases = np.array([1, 1j, -1, -1j], dtype=np.complex128)
-    for p, c in h.items():
-        parity = np.bitwise_count(idx & np.uint64(p.z_mask)).astype(np.int64) & 1
-        k = ((p.x_mask & p.z_mask).bit_count() + 2 * parity) % 4
-        rows = (idx ^ np.uint64(p.x_mask)).astype(np.int64)
-        mat[rows, idx.astype(np.int64)] += c * phases[k]
-    return mat
-
-
-def _to_sparse(h: QubitHamiltonian) -> scipy.sparse.csr_matrix:
-    dim = 1 << h.n_qubits
-    idx = np.arange(dim, dtype=np.uint64)
-    phases = np.array([1, 1j, -1, -1j], dtype=np.complex128)
-    rows_all = []
-    cols_all = []
-    vals_all = []
-    for p, c in h.items():
-        parity = np.bitwise_count(idx & np.uint64(p.z_mask)).astype(np.int64) & 1
-        k = ((p.x_mask & p.z_mask).bit_count() + 2 * parity) % 4
-        rows_all.append((idx ^ np.uint64(p.x_mask)).astype(np.int64))
-        cols_all.append(idx.astype(np.int64))
-        vals_all.append(c * phases[k])
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(dim, dim),
-    )
+    return _matrix(h, np.arange(1 << h.n_qubits)).toarray()
 
 
 def _sector_indices(
@@ -109,55 +114,43 @@ def exact_ground(
 ) -> GroundState:
     """Lowest eigenvalue and eigenvector of the Pauli sum.
 
-    With `n_electrons` given, the search is restricted to the particle
-    sector: basis states are kept iff `occupation_of` (the inverse of the
+    With `n_electrons` given, the matrix is built on the particle sector
+    only: basis states are kept iff `occupation_of` (the inverse of the
     fermion-to-qubit encoding, vectorized over index arrays) decodes them
     to the requested electron count. The returned vector is always at the
     full 2^n dimension. Degeneracy is flagged when the gap to the next
-    eigenvalue is below 1e-9.
+    eigenvalue is below 1e-9. A sparse eigensolver that does not converge
+    raises ValueError.
     """
     _check_size(h.n_qubits)
     dim = 1 << h.n_qubits
 
-    keep: np.ndarray | None = None
-    if n_electrons is not None:
+    if n_electrons is None:
+        basis = np.arange(dim)
+    else:
         if occupation_of is None:
             raise ValueError("particle-sector restriction needs an occupation decoder")
-        keep = _sector_indices(h.n_qubits, n_electrons, occupation_of)
-        if keep.size == 0:
+        basis = _sector_indices(h.n_qubits, n_electrons, occupation_of)
+        if basis.size == 0:
             raise ValueError(
                 f"empty particle sector: {n_electrons} electrons on {h.n_qubits} qubits"
             )
 
-    if h.n_qubits <= DENSE_MAX_QUBITS:
-        mat = to_dense(h)
-        if keep is not None:
-            mat = mat[np.ix_(keep, keep)]
-        if mat.shape[0] == 1:
-            vals = np.array([mat[0, 0].real])
-            vecs = np.ones((1, 1), dtype=np.complex128)
-            degenerate = False
-        else:
-            vals, vecs = scipy.linalg.eigh(mat)
-            degenerate = bool(vals[1] - vals[0] < _DEGENERACY_GAP)
-        energy = float(vals[0])
-        small = vecs[:, 0].astype(np.complex128)
+    mat = _matrix(h, basis)
+    # ARPACK needs at least k + 2 = 4 states, so tinier sectors go dense.
+    if h.n_qubits <= DENSE_MAX_QUBITS or basis.size < 4:
+        top = min(1, basis.size - 1)
+        vals, vecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, top])
     else:
-        mat = _to_sparse(h)
-        if keep is not None:
-            mat = mat[keep][:, keep]
-        k = min(2, mat.shape[0] - 1)
-        vals, vecs = scipy.sparse.linalg.eigsh(mat, k=k, which="SA")
+        try:
+            vals, vecs = scipy.sparse.linalg.eigsh(mat, k=2, which="SA")
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise ValueError(f"sparse eigensolver did not converge: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        degenerate = bool(k >= 2 and vals[1] - vals[0] < _DEGENERACY_GAP)
-        energy = float(vals[0])
-        small = vecs[:, 0].astype(np.complex128)
+    degenerate = bool(vals.size > 1 and vals[1] - vals[0] < _DEGENERACY_GAP)
 
-    if keep is None:
-        vector = small
-    else:
-        vector = np.zeros(dim, dtype=np.complex128)
-        vector[keep] = small
+    vector = np.zeros(dim, dtype=np.complex128)
+    vector[basis] = vecs[:, 0]
     vector = vector / np.linalg.norm(vector)
-    return GroundState(energy=energy, vector=vector, degenerate=degenerate)
+    return GroundState(energy=float(vals[0]), vector=vector, degenerate=degenerate)

@@ -109,14 +109,12 @@ def prepare_basis_state(n_qubits: int, bits: str | int) -> Statevector:
     return Statevector(n_qubits, amp)
 
 
-def _pauli_phase_vector(p: PauliString) -> np.ndarray:
-    """Diagonal of P after factoring out the index flip by x_mask.
+def _pauli_phase_vector(p: PauliString, idx: np.ndarray) -> np.ndarray:
+    """Scalar P attaches to each basis index in `idx` (uint64), besides the flip.
 
-    P|b> = i^{|x&z|} (-1)^{|b&z|} |b ^ x>, so the returned vector holds the
-    scalar attached to input index b.
+    P|b> = i^{|x&z|} (-1)^{|b&z|} |b ^ x>, so entry j holds the scalar that
+    takes |idx[j]> to |idx[j] ^ x>. The oracle's matrix builder shares it.
     """
-    dim = 1 << p.n_qubits
-    idx = np.arange(dim, dtype=np.uint64)
     parity = np.bitwise_count(idx & np.uint64(p.z_mask)).astype(np.int64) & 1
     k = ((p.x_mask & p.z_mask).bit_count() + 2 * parity) % 4
     return _PHASES[k]
@@ -126,11 +124,11 @@ def apply_pauli(state: Statevector, p: PauliString) -> Statevector:
     """Return P|psi> without building a matrix."""
     if p.n_qubits != state.n_qubits:
         raise ValueError(f"qubit-count mismatch: {p.n_qubits} vs {state.n_qubits}")
-    amp = _pauli_phase_vector(p) * state.amplitudes
+    idx = np.arange(state.amplitudes.size, dtype=np.uint64)
+    amp = _pauli_phase_vector(p, idx) * state.amplitudes
     if p.x_mask:
-        idx = np.arange(amp.size, dtype=np.uint64) ^ np.uint64(p.x_mask)
         out = np.empty_like(amp)
-        out[idx] = amp
+        out[idx ^ np.uint64(p.x_mask)] = amp
         amp = out
     return Statevector(state.n_qubits, amp)
 
@@ -170,7 +168,7 @@ def expectation(state: Statevector, h: QubitHamiltonian) -> float:
     idx = np.arange(amp.size, dtype=np.uint64)
     total = 0.0 + 0.0j
     for p, c in h.items():
-        vec = _pauli_phase_vector(p) * amp
+        vec = _pauli_phase_vector(p, idx) * amp
         if p.x_mask:
             total += c * np.dot(conj[(idx ^ np.uint64(p.x_mask)).astype(np.int64)], vec)
         else:

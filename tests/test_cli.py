@@ -5,9 +5,11 @@ import json
 import math
 
 import pytest
+import scipy.sparse.linalg
 from click.testing import CliRunner
 
 import qccvqe
+from qccvqe import cli, oracle
 from qccvqe.cli import main
 
 
@@ -26,6 +28,17 @@ def dimer_total_energy(distance: float) -> float:
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@pytest.fixture()
+def arpack_fails(monkeypatch):
+    """Send every sector to the sparse eigensolver and make it give up."""
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(oracle, "DENSE_MAX_QUBITS", 0)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
 
 
 def run_checked(runner, args, expect=0):
@@ -130,6 +143,13 @@ class TestFci:
         )
         assert full["sector_restricted"] is False
         assert full["e_active"] <= restricted["e_active"] + 1e-12
+
+    def test_sparse_solver_failure_exits_numeric(
+        self, runner, fixtures_dir, arpack_fails
+    ):
+        result = runner.invoke(main, ["fci", str(fixtures_dir / "dimer_d1.00.fcidump")])
+        assert result.exit_code == 3, result.output
+        assert "did not converge" in result.stderr
 
 
 class TestUccsd:
@@ -261,6 +281,29 @@ class TestQcc:
         assert rows["broken"]["E_qcc_total"] == "nan"
         assert "broken" in result.stderr
 
+    def test_sparse_solver_failure_gets_error_row(
+        self, runner, fixtures_dir, tmp_path, arpack_fails
+    ):
+        manifest = tmp_path / "one.manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {
+                    "schema": "qcc-manifest/1",
+                    "geometries": [
+                        {
+                            "label": "1.00",
+                            "fcidump": str(fixtures_dir / "dimer_d1.00.fcidump"),
+                        }
+                    ],
+                }
+            )
+        )
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["qcc", str(manifest), "--output-dir", str(out_dir)])
+        assert result.exit_code == 3, result.output
+        (row,) = csv.DictReader((out_dir / "summary.csv").open())
+        assert row["status"].startswith("error: sparse eigensolver did not converge")
+
     def test_all_failures_exit_numeric(self, runner, tmp_path):
         bad = tmp_path / "broken.fcidump"
         bad.write_text("&FCI NORB=2 &END\n")
@@ -380,6 +423,33 @@ class TestPes:
                 )["e_nuclear"],
                 abs=1e-9,
             )
+
+    def test_each_geometry_is_built_once(
+        self, runner, fixtures_dir, tmp_path, monkeypatch
+    ):
+        built = []
+        build = cli._build_problem
+
+        def counting_build(path, *args):
+            built.append(path.name)
+            return build(path, *args)
+
+        monkeypatch.setattr(cli, "_build_problem", counting_build)
+        run_checked(
+            runner,
+            [
+                "pes",
+                str(fixtures_dir / "dimer.manifest.json"),
+                "--output-dir",
+                str(tmp_path / "pes"),
+                "--shots",
+                "64",
+            ],
+        )
+        assert sorted(built) == [
+            "dimer_d0.80.fcidump", "dimer_d1.00.fcidump", "dimer_d1.20.fcidump"
+        ]
+        assert len(list((tmp_path / "pes").glob("*.shots.json"))) == 3
 
     def test_seed_flag_sets_the_shot_seed(self, runner, fixtures_dir, tmp_path):
         manifest = tmp_path / "seeded.manifest.json"

@@ -13,6 +13,7 @@ from qccvqe import (
     apply_pauli,
     exact_ground,
     occupation_decoder,
+    oracle,
     to_dense,
 )
 
@@ -112,3 +113,43 @@ class TestExactGround:
         h = QubitHamiltonian(15, {PauliString.identity(15): 1.0})
         with pytest.raises(ValueError):
             exact_ground(h)
+
+
+class TestSectorBasis:
+    """The matrix built on the sector basis is the sector block of the full one."""
+
+    @pytest.mark.parametrize("dense_max", [oracle.DENSE_MAX_QUBITS, 0])
+    @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
+    def test_matches_sliced_reference(self, mapping, dense_max, monkeypatch):
+        monkeypatch.setattr(oracle, "DENSE_MAX_QUBITS", dense_max)
+        rng = np.random.default_rng(RNG_SEED + 2)
+        for n in range(2, 7):
+            h = reference.random_hamiltonian(rng, n, 3 * n)
+            full = reference.ham_matrix(h)
+            decoder = occupation_decoder(mapping, n)
+            counts = np.bitwise_count(decoder(np.arange(1 << n, dtype=np.uint64)))
+            for n_electrons in range(n + 1):
+                keep = np.flatnonzero(counts == n_electrons)
+                block = full[np.ix_(keep, keep)]
+                ground = exact_ground(h, n_electrons=n_electrons, occupation_of=decoder)
+                expected = float(np.linalg.eigvalsh(block)[0])
+                assert ground.energy == pytest.approx(expected, abs=1e-10)
+                assert np.all(np.delete(ground.vector, keep) == 0)
+                inside = ground.vector[keep]
+                residual = block @ inside - ground.energy * inside
+                assert np.linalg.norm(residual) < 1e-8
+
+    def test_degenerate_sector_ground(self):
+        # Two electrons on four orbitals with occupation energies -1, -0.5,
+        # -0.5, +1: filling orbital 0 and either orbital 1 or 2 ties at -2,
+        # while the unrestricted ground (orbitals 0-2 filled) is unique.
+        h = QubitHamiltonian.from_labels(
+            {"ZIII": 1.0, "IZII": 0.5, "IIZI": 0.5, "IIIZ": -1.0}
+        )
+        decoder = occupation_decoder("jordan_wigner", 4)
+        sector = exact_ground(h, n_electrons=2, occupation_of=decoder)
+        assert sector.energy == pytest.approx(-2.0, abs=1e-12)
+        assert sector.degenerate
+        full = exact_ground(h)
+        assert full.energy == pytest.approx(-3.0, abs=1e-12)
+        assert not full.degenerate

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qccvqe import (
     PauliString,
@@ -16,6 +18,7 @@ from qccvqe import (
     flip_index,
     multiply,
     partition_by_flip_index,
+    to_dense,
 )
 
 import reference
@@ -25,6 +28,30 @@ RNG_SEED = 20240817
 
 def all_labels(n_qubits):
     return ["".join(s) for s in itertools.product("IXYZ", repeat=n_qubits)]
+
+
+# Property tests draw the same examples on every run.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def pauli_strings(draw, count):
+    """`count` Pauli strings on one shared width of 1-4 qubits."""
+    n = draw(st.integers(1, 4))
+    mask = st.integers(0, (1 << n) - 1)
+    return [PauliString(n, draw(mask), draw(mask)) for _ in range(count)]
+
+
+@st.composite
+def hamiltonian_and_generator(draw):
+    (p,) = draw(pauli_strings(1))
+    mask = st.integers(0, (1 << p.n_qubits) - 1)
+    coeff = st.one_of(st.floats(0.01, 2.0), st.floats(-2.0, -0.01))
+    terms = draw(st.dictionaries(st.tuples(mask, mask), coeff, min_size=1, max_size=8))
+    h = QubitHamiltonian(
+        p.n_qubits, {PauliString(p.n_qubits, x, z): c for (x, z), c in terms.items()}
+    )
+    return h, p
 
 
 class TestPauliString:
@@ -261,3 +288,20 @@ class TestDress:
             dress(h, PauliString.from_label("X"), 0.3)
         with pytest.raises(ValueError):
             dress(h, PauliString.from_label("XX"), math.nan)
+
+
+class TestAlgebraProperties:
+    @PROPERTY
+    @given(pauli_strings(2))
+    def test_to_dense_is_a_homomorphism(self, pair):
+        p, q = pair
+        prod = multiply(p, q)
+        assert np.allclose(
+            to_dense(p) @ to_dense(q), prod.phase * to_dense(prod.string), atol=1e-14
+        )
+
+    @PROPERTY
+    @given(hamiltonian_and_generator(), st.floats(-math.pi, math.pi))
+    def test_dressing_by_minus_tau_undoes_tau(self, case, tau):
+        h, p = case
+        assert dress(dress(h, p, tau), p, -tau).allclose(h)
