@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -317,9 +316,8 @@ def uccsd(fcidump, active_electrons, n_orbitals, window, mapping,
             ref = simulator.prepare_basis_state(
                 geom.hamiltonian.n_qubits, geom.reference
             )
-            cfg = QccConfig(seed=seed)
             energy, amplitudes = solver.optimize_uccsd(
-                geom.hamiltonian, ref, generators, cfg
+                geom.hamiltonian, ref, generators, seed
             )
         except ValueError as exc:
             _die(EXIT_NUMERIC, str(exc))
@@ -423,17 +421,14 @@ def _load_manifest(
         raise AssertionError
 
 
-@dataclass(frozen=True)
-class GeometryResult:
-    label: str
-    row: dict[str, str]
-    trace_payload: dict | None
-    error: str | None
-    hamiltonian: QubitHamiltonian | None = None
-    trace: QccTrace | None = None
+def _run_geometry(
+    entry: ManifestEntry, manifest: Manifest, shots: int | None = None, seed: int = 0
+) -> dict[str, str]:
+    """Solve one geometry, write its trace and, with shots, its shot estimate.
 
-
-def _run_geometry(entry: ManifestEntry, manifest: Manifest) -> GeometryResult:
+    Returns the geometry's summary row; a failed build or solve gives an
+    error row and a message on stderr instead of a trace.
+    """
     try:
         geom = _build_problem(
             entry.fcidump,
@@ -442,14 +437,6 @@ def _run_geometry(entry: ManifestEntry, manifest: Manifest) -> GeometryResult:
             manifest.window,
             manifest.mapping,
         )
-    except (OSError, ValueError, ConfigError) as exc:
-        return GeometryResult(
-            label=entry.label,
-            row=_error_row(entry.label, str(exc)),
-            trace_payload=None,
-            error=str(exc),
-        )
-    try:
         ref = simulator.prepare_basis_state(geom.hamiltonian.n_qubits, geom.reference)
         trace = solver.qcc_run(
             geom.hamiltonian,
@@ -459,29 +446,39 @@ def _run_geometry(entry: ManifestEntry, manifest: Manifest) -> GeometryResult:
             e_nuclear=geom.problem.e_nuclear,
         )
         ground = _ground_energy(geom)
-        e_qcc = solver.total_energy(trace)
-        e_fci = ground.energy + geom.problem.e_inactive + geom.problem.e_nuclear
-        payload = trace.to_json_dict()
-        payload["label"] = entry.label
-        payload["mapping"] = geom.mapping
-        payload["e_fci_active"] = ground.energy
-        row = {
-            "geometry": entry.label,
-            "E_qcc_total": _fmt(e_qcc),
-            "E_fci_total": _fmt(e_fci),
-            "delta": _fmt(e_qcc - e_fci),
-            "iterations": str(len(trace.iterations)),
-            "parameters_used": str(trace.parameters_used),
-            "status": "ok",
-        }
-        return GeometryResult(entry.label, row, payload, None, geom.hamiltonian, trace)
-    except ValueError as exc:
-        return GeometryResult(
-            label=entry.label,
-            row=_error_row(entry.label, str(exc)),
-            trace_payload=None,
-            error=str(exc),
-        )
+    except (OSError, ValueError, ConfigError) as exc:
+        click.echo(f"geometry {entry.label}: {exc}", err=True)
+        return _error_row(entry.label, str(exc))
+    e_qcc = solver.total_energy(trace)
+    e_fci = ground.energy + geom.problem.e_inactive + geom.problem.e_nuclear
+    payload = trace.to_json_dict()
+    payload["label"] = entry.label
+    payload["mapping"] = geom.mapping
+    payload["e_fci_active"] = ground.energy
+    _write_json(manifest.output_dir / f"{entry.label}.trace.json", payload)
+    row = {
+        "geometry": entry.label,
+        "E_qcc_total": _fmt(e_qcc),
+        "E_fci_total": _fmt(e_fci),
+        "delta": _fmt(e_qcc - e_fci),
+        "iterations": str(len(trace.iterations)),
+        "parameters_used": str(trace.parameters_used),
+        "status": "ok",
+    }
+    click.echo(
+        f"{entry.label}: E_qcc {row['E_qcc_total']} E_fci {row['E_fci_total']} "
+        f"delta {row['delta']} ({row['iterations']} iterations)"
+    )
+    if shots:
+        try:
+            estimate = _measure_state(
+                geom.hamiltonian, trace.reference, trace.all_generators, shots, seed
+            )
+        except ValueError as exc:
+            click.echo(f"geometry {entry.label}: shot emulation: {exc}", err=True)
+        else:
+            _write_json(manifest.output_dir / f"{entry.label}.shots.json", estimate)
+    return row
 
 
 _SUMMARY_COLUMNS = [
@@ -522,37 +519,19 @@ def _merge_summary(path: Path, rows: list[dict[str, str]]) -> None:
 
 
 def _run_manifest(
-    manifest: Manifest, workers: int, summary_name: str
-) -> list[GeometryResult]:
-    """Solve every geometry and write its trace and summary row.
+    manifest: Manifest, summary_name: str, shots: int | None = None, seed: int = 0
+) -> None:
+    """Run every geometry in label order, then write the summary CSV.
 
     Exits 3 (numeric) once the summary is written if every geometry failed.
     """
     out_dir = manifest.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = sorted(
-            pool.map(lambda e: _run_geometry(e, manifest), manifest.entries),
-            key=lambda r: r.label,
-        )
-    rows = []
-    for result in results:
-        rows.append(result.row)
-        if result.error is not None:
-            click.echo(f"geometry {result.label}: {result.error}", err=True)
-            continue
-        _write_json(out_dir / f"{result.label}.trace.json", result.trace_payload)
-        click.echo(
-            f"{result.label}: E_qcc {result.row['E_qcc_total']} "
-            f"E_fci {result.row['E_fci_total']} "
-            f"delta {result.row['delta']} "
-            f"({result.row['iterations']} iterations)"
-        )
+    rows = [_run_geometry(entry, manifest, shots, seed) for entry in manifest.entries]
     _merge_summary(out_dir / summary_name, rows)
     click.echo(f"summary -> {out_dir / summary_name}")
-    if all(result.error is not None for result in results):
+    if all(row["status"] != "ok" for row in rows):
         _die(EXIT_NUMERIC, "every geometry failed")
-    return results
 
 
 _qcc_overrides = [
@@ -572,10 +551,8 @@ def _collect_overrides(**kwargs) -> dict[str, object]:
 @_with_options(_qcc_overrides)
 @click.option("--output-dir", type=click.Path(path_type=Path), default=None,
               help="Override the manifest's output directory.")
-@click.option("--workers", type=int, default=None,
-              help="Worker pool size (default: available parallelism).")
 def qcc(manifest_path, generators_per_iteration, max_iterations,
-        energy_tolerance, output_dir, workers):
+        energy_tolerance, output_dir):
     """Run the iterative solver for every geometry in a manifest."""
     overrides = _collect_overrides(
         generators_per_iteration=generators_per_iteration,
@@ -583,27 +560,19 @@ def qcc(manifest_path, generators_per_iteration, max_iterations,
         energy_tolerance=energy_tolerance,
     )
     manifest = _load_manifest(manifest_path, output_dir, overrides)
-    workers = workers or min(len(manifest.entries), _default_workers())
-    _run_manifest(manifest, workers, "summary.csv")
-
-
-def _default_workers() -> int:
-    import os
-
-    return max(os.cpu_count() or 1, 1)
+    _run_manifest(manifest, "summary.csv")
 
 
 @main.command()
 @click.argument("manifest_path", type=click.Path(exists=True, path_type=Path))
 @_with_options(_qcc_overrides)
 @click.option("--output-dir", type=click.Path(path_type=Path), default=None)
-@click.option("--workers", type=int, default=None)
 @click.option("--shots", type=int, default=None,
               help="Also emulate finite-shot measurement of each final state.")
 @click.option("--seed", type=int, default=None,
               help="Shot seed (overrides the manifest's).")
 def pes(manifest_path, generators_per_iteration, max_iterations,
-        energy_tolerance, output_dir, workers, shots, seed):
+        energy_tolerance, output_dir, shots, seed):
     """Composite potential-energy-surface sweep: QCC + exact reference per point."""
     if shots is not None and shots < 1:
         _die(EXIT_CONFIG, f"shots must be positive, got {shots}")
@@ -613,25 +582,12 @@ def pes(manifest_path, generators_per_iteration, max_iterations,
         energy_tolerance=energy_tolerance,
     )
     manifest = _load_manifest(manifest_path, output_dir, overrides)
-    workers = workers or min(len(manifest.entries), _default_workers())
-    results = _run_manifest(manifest, workers, "pes.csv")
-    shots = shots if shots is not None else manifest.shots
-    seed = seed if seed is not None else manifest.seed
-    if shots:
-        for result in results:
-            if result.error is not None:
-                continue
-            try:
-                estimate_payload = _measure_state(
-                    result.hamiltonian, result.trace.reference,
-                    result.trace.all_generators, shots, seed,
-                )
-            except ValueError as exc:
-                click.echo(f"geometry {result.label}: shot emulation: {exc}", err=True)
-                continue
-            _write_json(
-                manifest.output_dir / f"{result.label}.shots.json", estimate_payload
-            )
+    _run_manifest(
+        manifest,
+        "pes.csv",
+        shots if shots is not None else manifest.shots,
+        seed if seed is not None else manifest.seed,
+    )
 
 
 @main.command()

@@ -23,16 +23,18 @@ from .pauli import PauliString, QubitHamiltonian
 from .simulator import _pauli_phase_vector
 
 __all__ = [
-    "DENSE_MAX_QUBITS",
+    "DENSE_MAX_STATES",
     "ORACLE_MAX_QUBITS",
     "GroundState",
     "to_dense",
     "exact_ground",
 ]
 
-# Dense diagonalization up to 12 qubits; iterative extremal eigensolver
-# for 13-14; larger inputs are refused.
-DENSE_MAX_QUBITS = 12
+# Bases of up to this many states are diagonalized densely (the 924-state
+# 12-qubit half-filling sector among them); larger ones, such as the full
+# 4096-state 12-qubit space, go to the iterative extremal eigensolver.
+# Inputs above 14 qubits are refused.
+DENSE_MAX_STATES = 1024
 ORACLE_MAX_QUBITS = 14
 
 _DEGENERACY_GAP = 1e-9
@@ -66,7 +68,7 @@ def _matrix(h: QubitHamiltonian, basis: np.ndarray) -> scipy.sparse.csr_matrix:
     idx = basis.astype(np.uint64)
     by_flip: dict[int, np.ndarray] = {}
     for p, c in h.items():
-        vals = c * _pauli_phase_vector(p, idx)
+        vals = c * _pauli_phase_vector(p.x_mask, p.z_mask, idx)
         prev = by_flip.get(p.x_mask)
         by_flip[p.x_mask] = vals if prev is None else prev + vals
     cols = np.arange(idx.size)
@@ -137,13 +139,15 @@ def exact_ground(
             )
 
     mat = _matrix(h, basis)
-    # ARPACK needs at least k + 2 = 4 states, so tinier sectors go dense.
-    if h.n_qubits <= DENSE_MAX_QUBITS or basis.size < 4:
+    # ARPACK needs at least k + 2 = 4 states, so tinier bases go dense.
+    if basis.size <= DENSE_MAX_STATES or basis.size < 4:
         top = min(1, basis.size - 1)
         vals, vecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, top])
     else:
         try:
-            vals, vecs = scipy.sparse.linalg.eigsh(mat, k=2, which="SA")
+            # A seeded start vector keeps reruns byte-identical.
+            start = np.random.default_rng(0).uniform(-1.0, 1.0, basis.size)
+            vals, vecs = scipy.sparse.linalg.eigsh(mat, k=2, which="SA", v0=start)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise ValueError(f"sparse eigensolver did not converge: {exc}") from exc
         order = np.argsort(vals)

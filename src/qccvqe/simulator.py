@@ -109,15 +109,18 @@ def prepare_basis_state(n_qubits: int, bits: str | int) -> Statevector:
     return Statevector(n_qubits, amp)
 
 
-def _pauli_phase_vector(p: PauliString, idx: np.ndarray) -> np.ndarray:
-    """Scalar P attaches to each basis index in `idx` (uint64), besides the flip.
+def _pauli_phase_vector(x_mask, z_mask, idx) -> np.ndarray:
+    """Scalar that the string P(x, z) attaches to each basis index, besides the flip.
 
-    P|b> = i^{|x&z|} (-1)^{|b&z|} |b ^ x>, so entry j holds the scalar that
-    takes |idx[j]> to |idx[j] ^ x>. The oracle's matrix builder shares it.
+    P|b> = i^{|x&z|} (-1)^{|b&z|} |b ^ x>, so the entry for b is the scalar
+    that takes |b> to |b ^ x>. Masks and indices (uint64, or Python ints)
+    broadcast: one string over many indices, as in the simulator and the
+    oracle's matrix builder, or many strings over one index, as in screening.
     """
-    parity = np.bitwise_count(idx & np.uint64(p.z_mask)).astype(np.int64) & 1
-    k = ((p.x_mask & p.z_mask).bit_count() + 2 * parity) % 4
-    return _PHASES[k]
+    k = np.bitwise_count(np.bitwise_and(x_mask, z_mask)) + 2 * np.bitwise_count(
+        idx & z_mask
+    )
+    return _PHASES[k & 3]
 
 
 def apply_pauli(state: Statevector, p: PauliString) -> Statevector:
@@ -125,7 +128,7 @@ def apply_pauli(state: Statevector, p: PauliString) -> Statevector:
     if p.n_qubits != state.n_qubits:
         raise ValueError(f"qubit-count mismatch: {p.n_qubits} vs {state.n_qubits}")
     idx = np.arange(state.amplitudes.size, dtype=np.uint64)
-    amp = _pauli_phase_vector(p, idx) * state.amplitudes
+    amp = _pauli_phase_vector(p.x_mask, p.z_mask, idx) * state.amplitudes
     if p.x_mask:
         out = np.empty_like(amp)
         out[idx ^ np.uint64(p.x_mask)] = amp
@@ -168,7 +171,7 @@ def expectation(state: Statevector, h: QubitHamiltonian) -> float:
     idx = np.arange(amp.size, dtype=np.uint64)
     total = 0.0 + 0.0j
     for p, c in h.items():
-        vec = _pauli_phase_vector(p, idx) * amp
+        vec = _pauli_phase_vector(p.x_mask, p.z_mask, idx) * amp
         if p.x_mask:
             total += c * np.dot(conj[(idx ^ np.uint64(p.x_mask)).astype(np.int64)], vec)
         else:

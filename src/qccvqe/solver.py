@@ -22,10 +22,10 @@ from .pauli import (
     PauliString,
     QubitHamiltonian,
     dress_sequence,
-    partition_by_flip_index,
 )
 from .simulator import (
     Statevector,
+    _pauli_phase_vector,
     apply_pauli_rotation,
     apply_rotation_sequence,
     bitstring_label,
@@ -68,7 +68,7 @@ class QccConfig:
     max_iterations: int = 50
     energy_tolerance: float = 1e-6
     prune_threshold: float = DEFAULT_PRUNE
-    seed: int = 7  # UCCSD restart; the default shot seed of a manifest
+    seed: int = 7  # the default shot seed of a manifest
 
     def __post_init__(self) -> None:
         if self.generators_per_iteration < 1:
@@ -124,34 +124,33 @@ def screen_generators(
     """Rank flip-index groups by exact zero-amplitude energy gradient.
 
     For a basis reference |b> and representative R of flip set F, only the
-    Hamiltonian terms sharing F contribute to dE/dtau at tau = 0: each
-    product P_k R is diagonal, so the gradient reduces to a signed sum of
-    coefficients. Groups with zero gradient are dropped; the rest are
-    sorted by descending magnitude rounded to a multiple of GRAD_EPS, ties
-    broken by canonical string order.
+    Hamiltonian terms sharing F contribute to dE/dtau at tau = 0, which is
+    Im<b|P R|b> for their sum P = sum_k c_k P_k. With P_k|b> = phi_k |b ^ x>
+    and R|b> = phi_R |b ^ x>, that is Im(phi_R * conj(sum_k c_k phi_k)), so
+    one phase per term and one sum per x-mask give every gradient. Groups
+    with zero gradient are dropped; the rest are sorted by descending
+    magnitude rounded to a multiple of GRAD_EPS, ties broken by canonical
+    string order.
     """
     if h.n_qubits != ref.n_qubits:
         raise ValueError(f"qubit-count mismatch: {h.n_qubits} vs {ref.n_qubits}")
-    b = _basis_index_of(ref)
+    b = np.uint64(_basis_index_of(ref))
+    flips = [(p.x_mask, p.z_mask, c) for p, c in h.items() if p.x_mask]
+    if not flips:
+        return []
+    xs, zs, coeffs = zip(*flips)
+    x = np.array(xs, dtype=np.uint64)
+    column = np.array(coeffs) * _pauli_phase_vector(x, np.array(zs, dtype=np.uint64), b)
+    x_masks, group = np.unique(x, return_inverse=True)
+    sums = np.bincount(group, column.real) + 1j * np.bincount(group, column.imag)
+    # flip_representative's z-mask: Y on the lowest flipped qubit only.
+    rep_z = x_masks & (~x_masks + np.uint64(1))
+    grads = np.imag(_pauli_phase_vector(x_masks, rep_z, b) * np.conj(sums))
     candidates: list[CandidateGenerator] = []
-    for flip_set, members in partition_by_flip_index(h).items():
-        if not flip_set:
-            continue
-        rep = flip_representative(flip_set, h.n_qubits)
-        grad = 0.0
-        for p, c in members:
-            # P_k R has empty flip index; i^k phase and Z-parity sign give
-            # Im<b|P_k R|b> exactly.
-            z = p.z_mask ^ rep.z_mask
-            k = (
-                (p.x_mask & p.z_mask).bit_count()
-                + (rep.x_mask & rep.z_mask).bit_count()
-                + 2 * (p.z_mask & rep.x_mask).bit_count()
-                + 2 * (b & z).bit_count()
-            ) % 4
-            if k % 2:
-                grad += c if k == 1 else -c
+    for x_mask, grad in zip(x_masks.tolist(), grads.tolist()):
         if abs(grad) > GRAD_EPS:
+            flip_set = frozenset(q for q in range(h.n_qubits) if (x_mask >> q) & 1)
+            rep = flip_representative(flip_set, h.n_qubits)
             candidates.append(CandidateGenerator(flip_set, rep, abs(grad)))
     candidates.sort(
         key=lambda c: (-round(c.gradient_magnitude / GRAD_EPS), c.representative.key())
@@ -454,18 +453,17 @@ def optimize_uccsd(
     h: QubitHamiltonian,
     ref: Statevector,
     generator_terms: Sequence[Sequence[tuple[PauliString, float]]],
-    cfg: QccConfig | None = None,
+    seed: int = 7,
 ) -> tuple[float, list[float]]:
     """Variationally optimize single-Trotter-step excitation amplitudes.
 
     Amplitude t_k multiplies every Pauli term of its generator: the circuit
     applies exp(-i theta P / 2) with theta = -2 * t_k * c for each (P, c),
     amplitudes in list order. Minimized with bounded Nelder-Mead from zero
-    plus one random restart; the zero point is always evaluated.
+    plus one restart drawn from `seed`; the zero point is always evaluated.
     """
     if not generator_terms:
         raise ValueError("no generators to optimize")
-    cfg = cfg or QccConfig()
 
     def build(taus: np.ndarray) -> Statevector:
         state = ref
@@ -479,7 +477,7 @@ def optimize_uccsd(
 
     n = len(generator_terms)
     e_zero = fun(np.zeros(n))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     starts = [np.zeros(n), rng.uniform(-0.1, 0.1, size=n)]
     best_e, best_taus = e_zero, [0.0] * n
     for x0 in starts:

@@ -37,7 +37,7 @@ def arpack_fails(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
-    monkeypatch.setattr(oracle, "DENSE_MAX_QUBITS", 0)
+    monkeypatch.setattr(oracle, "DENSE_MAX_STATES", 0)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
 
 
@@ -451,6 +451,40 @@ class TestPes:
         ]
         assert len(list((tmp_path / "pes").glob("*.shots.json"))) == 3
 
+    def test_broken_geometry_gets_no_shot_estimate(
+        self, runner, fixtures_dir, tmp_path
+    ):
+        bad = tmp_path / "broken.fcidump"
+        bad.write_text("&FCI NORB=2 &END\n")
+        manifest = tmp_path / "mixed.manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {
+                    "schema": "qcc-manifest/1",
+                    "geometries": [
+                        {
+                            "label": "ok",
+                            "fcidump": str(fixtures_dir / "dimer_d1.00.fcidump"),
+                        },
+                        {"label": "broken", "fcidump": str(bad)},
+                    ],
+                    "active_electrons": 2,
+                    "active_orbitals": 2,
+                }
+            )
+        )
+        out_dir = tmp_path / "out"
+        run_checked(
+            runner, ["pes", str(manifest), "--output-dir", str(out_dir), "--shots", "64"]
+        )
+        rows = {r["geometry"]: r for r in csv.DictReader((out_dir / "pes.csv").open())}
+        assert rows["ok"]["status"] == "ok"
+        assert rows["broken"]["status"].startswith("error:")
+        shots = json.loads((out_dir / "ok.shots.json").read_text())
+        assert shots["shots_per_group"] == 64
+        assert not (out_dir / "broken.shots.json").exists()
+        assert not (out_dir / "broken.trace.json").exists()
+
     def test_seed_flag_sets_the_shot_seed(self, runner, fixtures_dir, tmp_path):
         manifest = tmp_path / "seeded.manifest.json"
         manifest.write_text(
@@ -490,6 +524,12 @@ class TestPes:
             main, ["qcc", manifest, "--output-dir", out_dir, "--seed", "3"]
         )
         assert result.exit_code == 2, result.output
+        # sweeps run one geometry at a time, so neither command takes workers
+        for command in ("qcc", "pes"):
+            result = runner.invoke(
+                main, [command, manifest, "--output-dir", out_dir, "--workers", "2"]
+            )
+            assert result.exit_code == 2, result.output
 
 
 class TestExtrapolateCommand:

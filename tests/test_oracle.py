@@ -118,18 +118,22 @@ class TestExactGround:
 class TestSectorBasis:
     """The matrix built on the sector basis is the sector block of the full one."""
 
-    @pytest.mark.parametrize("dense_max", [oracle.DENSE_MAX_QUBITS, 0])
+    @pytest.mark.parametrize("dense_max", [oracle.DENSE_MAX_STATES, 0])
     @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
     def test_matches_sliced_reference(self, mapping, dense_max, monkeypatch):
-        monkeypatch.setattr(oracle, "DENSE_MAX_QUBITS", dense_max)
+        monkeypatch.setattr(oracle, "DENSE_MAX_STATES", dense_max)
         rng = np.random.default_rng(RNG_SEED + 2)
         for n in range(2, 7):
             h = reference.random_hamiltonian(rng, n, 3 * n)
             full = reference.ham_matrix(h)
             decoder = occupation_decoder(mapping, n)
             counts = np.bitwise_count(decoder(np.arange(1 << n, dtype=np.uint64)))
-            for n_electrons in range(n + 1):
-                keep = np.flatnonzero(counts == n_electrons)
+            # None is the full space, where the block is the whole matrix.
+            for n_electrons in [None, *range(n + 1)]:
+                if n_electrons is None:
+                    keep = np.arange(1 << n)
+                else:
+                    keep = np.flatnonzero(counts == n_electrons)
                 block = full[np.ix_(keep, keep)]
                 ground = exact_ground(h, n_electrons=n_electrons, occupation_of=decoder)
                 expected = float(np.linalg.eigvalsh(block)[0])

@@ -305,3 +305,12 @@ class TestAlgebraProperties:
     def test_dressing_by_minus_tau_undoes_tau(self, case, tau):
         h, p = case
         assert dress(dress(h, p, tau), p, -tau).allclose(h)
+
+    @PROPERTY
+    @given(pauli_strings(3))
+    def test_multiply_is_associative_up_to_phase(self, triple):
+        p, q, r = triple
+        pq, qr = multiply(p, q), multiply(q, r)
+        left, right = multiply(pq.string, r), multiply(p, qr.string)
+        assert left.string == right.string
+        assert pq.phase * left.phase == qr.phase * right.phase
