@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import click
 
@@ -61,6 +61,14 @@ def _write_json(path: Path | None, payload: dict) -> None:
     else:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(value: float) -> str:
@@ -131,12 +139,17 @@ def _build_problem_or_die(
     fcidump_path: Path,
     n_active_electrons: int | None,
     n_active_orbitals: int | None,
-    window: Sequence[int] | None,
+    window: str | None,
     mapping: str,
 ) -> GeometryProblem:
+    """_build_problem from the CAS options, each failure mapped to its exit code."""
     try:
         return _build_problem(
-            fcidump_path, n_active_electrons, n_active_orbitals, window, mapping
+            fcidump_path,
+            n_active_electrons,
+            n_active_orbitals,
+            _parse_window(window),
+            mapping,
         )
     except OSError as exc:
         _die(EXIT_CONFIG, f"cannot read {fcidump_path}: {exc}")
@@ -159,10 +172,9 @@ def _ground_energy(geom: GeometryProblem) -> oracle.GroundState:
 
 
 def _hamiltonian_payload(geom: GeometryProblem) -> dict:
-    payload = geom.hamiltonian.to_json_dict()
     return {
         "schema": "qubit-hamiltonian/1",
-        **payload,
+        **geom.hamiltonian.to_json_dict(),
         "metadata": {
             "mapping": geom.mapping,
             "e_inactive": geom.problem.e_inactive,
@@ -216,13 +228,7 @@ def _with_options(options):
               help="Output JSON path (default: stdout).")
 def ham(fcidump, active_electrons, n_orbitals, window, mapping, output):
     """Map an FCIDUMP file to an active-space qubit Hamiltonian."""
-    try:
-        window_list = _parse_window(window)
-    except ConfigError as exc:
-        _die(EXIT_CONFIG, str(exc))
-    geom = _build_problem_or_die(
-        fcidump, active_electrons, n_orbitals, window_list, mapping
-    )
+    geom = _build_problem_or_die(fcidump, active_electrons, n_orbitals, window, mapping)
     _write_json(output, _hamiltonian_payload(geom))
     if output is not None:
         click.echo(
@@ -240,13 +246,7 @@ def ham(fcidump, active_electrons, n_orbitals, window, mapping, output):
 @click.option("--output", type=click.Path(path_type=Path), default=None)
 def fci(fcidump, active_electrons, n_orbitals, window, mapping, full_spectrum, output):
     """Exact ground energy of the mapped active-space Hamiltonian."""
-    try:
-        window_list = _parse_window(window)
-    except ConfigError as exc:
-        _die(EXIT_CONFIG, str(exc))
-    geom = _build_problem_or_die(
-        fcidump, active_electrons, n_orbitals, window_list, mapping
-    )
+    geom = _build_problem_or_die(fcidump, active_electrons, n_orbitals, window, mapping)
     try:
         if full_spectrum:
             ground = oracle.exact_ground(geom.hamiltonian)
@@ -285,13 +285,7 @@ def fci(fcidump, active_electrons, n_orbitals, window, mapping, full_spectrum, o
 def uccsd(fcidump, active_electrons, n_orbitals, window, mapping,
           run_opt, force, param_ceiling, seed, output):
     """Count (and optionally optimize) single-Trotter UCCSD parameters."""
-    try:
-        window_list = _parse_window(window)
-    except ConfigError as exc:
-        _die(EXIT_CONFIG, str(exc))
-    geom = _build_problem_or_die(
-        fcidump, active_electrons, n_orbitals, window_list, mapping
-    )
+    geom = _build_problem_or_die(fcidump, active_electrons, n_orbitals, window, mapping)
     prob = geom.problem
     exc_list = chem.uccsd_excitations(prob.n_active_electrons, prob.n_active_orbitals)
     payload = {
@@ -488,15 +482,9 @@ _SUMMARY_COLUMNS = [
 
 
 def _error_row(label: str, message: str) -> dict[str, str]:
-    return {
-        "geometry": label,
-        "E_qcc_total": "nan",
-        "E_fci_total": "nan",
-        "delta": "nan",
-        "iterations": "0",
-        "parameters_used": "0",
-        "status": f"error: {message}",
-    }
+    row = dict.fromkeys(_SUMMARY_COLUMNS, "nan")
+    row.update(geometry=label, iterations="0", parameters_used="0")
+    return row | {"status": f"error: {message}"}
 
 
 def _merge_summary(path: Path, rows: list[dict[str, str]]) -> None:
@@ -629,24 +617,20 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
     if curve is not None:
         energies = trace.energies
         c = result.b + math.log10(10.0 ** (-result.a) - 1.0)
-        curve_path = Path(curve)
-        curve_path.parent.mkdir(parents=True, exist_ok=True)
-        with curve_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["iteration", "energy", "fitted_energy", "difference", "fitted_difference"]
-            )
-            for i in range(1, len(energies)):
-                fitted_e = result.e0_estimate + 10.0 ** (result.a * i + result.b)
-                writer.writerow(
-                    [
-                        i,
-                        _fmt(energies[i]),
-                        _fmt(fitted_e),
-                        _fmt(energies[i - 1] - energies[i]),
-                        _fmt(10.0 ** (result.a * i + c)),
-                    ]
-                )
+        _write_csv(
+            Path(curve),
+            ["iteration", "energy", "fitted_energy", "difference", "fitted_difference"],
+            (
+                [
+                    i,
+                    _fmt(energies[i]),
+                    _fmt(result.e0_estimate + 10.0 ** (result.a * i + result.b)),
+                    _fmt(energies[i - 1] - energies[i]),
+                    _fmt(10.0 ** (result.a * i + c)),
+                ]
+                for i in range(1, len(energies))
+            ),
+        )
     if output is not None:
         click.echo(f"e0 {_fmt(result.e0_estimate)} -> {output}")
 
@@ -750,21 +734,15 @@ def measure(hamiltonian_path, circuit, shots, seed, output, per_group):
         _die(EXIT_NUMERIC, str(exc))
     _write_json(output, payload)
     if per_group is not None:
-        per_group_path = Path(per_group)
-        per_group_path.parent.mkdir(parents=True, exist_ok=True)
-        with per_group_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["group", "shared_basis", "estimate", "exact", "difference"])
-            for group in payload["groups"]:
-                writer.writerow(
-                    [
-                        group["id"],
-                        group["basis"],
-                        _fmt(group["estimate"]),
-                        _fmt(group["exact"]),
-                        _fmt(group["difference"]),
-                    ]
-                )
+        _write_csv(
+            Path(per_group),
+            ["group", "shared_basis", "estimate", "exact", "difference"],
+            (
+                [g["id"], g["basis"]]
+                + [_fmt(g[key]) for key in ("estimate", "exact", "difference")]
+                for g in payload["groups"]
+            ),
+        )
     if output is not None:
         click.echo(
             f"E_sampled {_fmt(payload['energy'])} "

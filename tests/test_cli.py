@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import scipy.sparse.linalg
@@ -713,3 +717,19 @@ class TestVersion:
     def test_version_flag(self, runner):
         result = run_checked(runner, ["--version"])
         assert f"qccvqe, version {qccvqe.__version__}" in result.output
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        # scipy.optimize costs about 150 ms per process; only the UCCSD
+        # baseline uses it, and it imports it on call.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, qccvqe.cli; print('scipy.optimize' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"

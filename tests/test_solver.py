@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qccvqe import (
     ExtrapolationError,
@@ -14,6 +16,7 @@ from qccvqe import (
     QccTrace,
     QubitHamiltonian,
     apply_rotation_sequence,
+    dress_sequence,
     exact_ground,
     expectation,
     extrapolate,
@@ -29,8 +32,10 @@ from qccvqe import (
     uccsd_excitations,
     uccsd_generator_paulis,
 )
+from qccvqe.solver import _support_energy, _term_arrays
 
 import reference
+from test_pauli import PROPERTY
 
 RNG_SEED = 20241002
 
@@ -38,6 +43,25 @@ RNG_SEED = 20241002
 def circuit_energy(h, ref, generator, tau):
     state = apply_rotation_sequence(ref, [(generator, tau)])
     return expectation(state, h)
+
+
+@st.composite
+def support_cases(draw):
+    """Random real Pauli sum, basis reference and 0-3 rotations on 1-6 qubits.
+
+    Strings, coefficients and angles come from a drawn seed. Rotations pick
+    from a pool of two strings, so repeats are common, and a quarter of the
+    angles are zero; the rest are uniform in [-pi, pi].
+    """
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = reference.random_hamiltonian(rng, n, draw(st.integers(1, 24)))
+    b = draw(st.integers(0, (1 << n) - 1))
+    pool = [PauliString.from_label(reference.random_label(rng, n)) for _ in range(2)]
+    k = draw(st.integers(0, 3))
+    taus = np.where(rng.random(k) < 0.25, 0.0, rng.uniform(-math.pi, math.pi, k))
+    pairs = [(pool[j], float(t)) for j, t in zip(rng.integers(0, 2, k), taus)]
+    return h, b, pairs
 
 
 class TestScreening:
@@ -104,6 +128,18 @@ class TestScreening:
             screen_generators(h, state)
 
 
+class TestSupportEnergy:
+    @PROPERTY
+    @given(support_cases())
+    def test_matches_the_statevector(self, case):
+        h, b, pairs = case
+        ref = prepare_basis_state(h.n_qubits, b)
+        expected = expectation(apply_rotation_sequence(ref, pairs), h)
+        assert _support_energy(_term_arrays(h), b, pairs) == pytest.approx(
+            expected, abs=1e-12
+        )
+
+
 class TestOptimize:
     def test_single_generator_analytic_minimum(self):
         # E(tau) = cos(tau) - 0.5 sin(tau) has minimum -sqrt(1.25)
@@ -150,6 +186,14 @@ class TestOptimize:
         h = QubitHamiltonian.from_labels({"Z": 1.0})
         with pytest.raises(ValueError):
             optimize_amplitudes(h, prepare_basis_state(1, 0), [])
+
+    def test_requires_basis_reference(self):
+        h = QubitHamiltonian.from_labels({"XX": 1.0, "ZI": 0.5})
+        amp = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)
+        from qccvqe import Statevector
+
+        with pytest.raises(ValueError, match="computational-basis"):
+            optimize_amplitudes(h, Statevector(2, amp), [flip_representative({0}, 2)])
 
     def test_single_generator_beats_a_fine_grid(self):
         rng = np.random.default_rng(RNG_SEED + 3)
@@ -245,6 +289,19 @@ class TestQccRun:
             assert record.term_count > 0
             assert len(record.generators) == 1
             assert record.gradients[0] > 0.0
+
+    def test_recorded_energies_match_the_statevector(self, chain4_problem):
+        _, h, ref_label = chain4_problem
+        ref = prepare_basis_state(h.n_qubits, ref_label)
+        cfg = QccConfig(max_iterations=6)
+        trace = qcc_run(h, ref, cfg)
+        assert trace.initial_energy == pytest.approx(expectation(ref, h), abs=1e-10)
+        dressed = h
+        for record in trace.iterations:
+            dressed = dress_sequence(
+                dressed, record.generators, prune=cfg.prune_threshold
+            )
+            assert record.energy == pytest.approx(expectation(ref, dressed), abs=1e-10)
 
     def test_trace_json_round_trip(self, dimer_problem):
         prob, h, ref_label = dimer_problem
