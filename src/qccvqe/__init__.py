@@ -14,9 +14,7 @@ from .pauli import (
     commutes,
     dress,
     dress_sequence,
-    flip_index,
     multiply,
-    partition_by_flip_index,
 )
 from .chem import (
     ActiveSpaceProblem,

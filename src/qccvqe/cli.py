@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import click
 
 from . import __version__, chem, oracle, simulator, solver
-from .pauli import PauliString, QubitHamiltonian
+from .pauli import HAMILTONIAN_MAX_QUBITS, PauliString, QubitHamiltonian
 from .solver import QccConfig, QccTrace
 
 EXIT_PARSE = 2
@@ -85,6 +85,14 @@ def _parse_window(text: str | None) -> list[int] | None:
         raise ConfigError(f"window must be comma-separated integers, got {text!r}")
 
 
+def _check_width(n_orbitals: int) -> None:
+    if 2 * n_orbitals > HAMILTONIAN_MAX_QUBITS:
+        raise ConfigError(
+            f"{n_orbitals} active orbitals exceed the limit of "
+            f"{HAMILTONIAN_MAX_QUBITS // 2} ({HAMILTONIAN_MAX_QUBITS} qubits)"
+        )
+
+
 @dataclass(frozen=True)
 class GeometryProblem:
     """Everything one geometry needs downstream of the FCIDUMP parse."""
@@ -118,6 +126,7 @@ def _build_problem(
             n_active_orbitals = ints.n_orbitals
         if window is None:
             window = chem.default_window(ints, n_active_electrons, n_active_orbitals)
+        _check_width(len(window))
         prob = chem.cas_reduce(ints, window, n_active_electrons)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -386,6 +395,8 @@ def _load_manifest(
             raise ConfigError(
                 f"orbital_window must be a list of integers, got {window!r}"
             )
+        n_active_orbitals = _manifest_int(data, "active_orbitals")
+        _check_width(max(n_active_orbitals or 0, len(window or ())))
         seed = _manifest_int(data, "seed")
         mapping = data.get("mapping", "jordan_wigner")
         if not isinstance(mapping, str):
@@ -402,7 +413,7 @@ def _load_manifest(
         return Manifest(
             entries=tuple(sorted(entries, key=lambda e: e.label)),
             n_active_electrons=_manifest_int(data, "active_electrons"),
-            n_active_orbitals=_manifest_int(data, "active_orbitals"),
+            n_active_orbitals=n_active_orbitals,
             window=tuple(window) if window is not None else None,
             mapping=chem.normalize_mapping(mapping),
             output_dir=out_dir,

@@ -67,10 +67,10 @@ def _matrix(h: QubitHamiltonian, basis: np.ndarray) -> scipy.sparse.csr_matrix:
     """
     idx = basis.astype(np.uint64)
     by_flip: dict[int, np.ndarray] = {}
-    for p, c in h.items():
-        vals = c * _pauli_phase_vector(p.x_mask, p.z_mask, idx)
-        prev = by_flip.get(p.x_mask)
-        by_flip[p.x_mask] = vals if prev is None else prev + vals
+    for x_mask, z_mask, c in zip(h.x.tolist(), h.z.tolist(), h.coeff.tolist()):
+        vals = c * _pauli_phase_vector(x_mask, z_mask, idx)
+        prev = by_flip.get(x_mask)
+        by_flip[x_mask] = vals if prev is None else prev + vals
     cols = np.arange(idx.size)
     rows_all, cols_all, vals_all = [], [], []
     for x_mask, vals in by_flip.items():

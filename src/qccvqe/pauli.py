@@ -13,6 +13,9 @@ Conventions used throughout the package:
 - Hamiltonians carry real coefficients only (in Hartree). Conjugating a
   real Pauli sum by exp(-i tau P / 2) keeps coefficients real, which the
   dressing routine exploits.
+- A Hamiltonian is stored as three arrays, x and z masks (uint64) and
+  coefficients (float64), in canonical (x, z) order. They are merged and
+  sorted on the combined key x << n | z, which caps sums at 32 qubits.
 """
 
 from __future__ import annotations
@@ -21,22 +24,26 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 __all__ = [
     "PauliString",
     "PhasedPauli",
     "QubitHamiltonian",
     "multiply",
     "commutes",
-    "flip_index",
-    "partition_by_flip_index",
     "dress",
     "dress_sequence",
     "DEFAULT_PRUNE",
+    "HAMILTONIAN_MAX_QUBITS",
 ]
 
 # Dressed terms with |coefficient| below this are dropped so floating-point
 # dust does not inflate the term count.
 DEFAULT_PRUNE = 1e-12
+
+# The combined sort key x << n | z of an n-qubit term must fit in 64 bits.
+HAMILTONIAN_MAX_QUBITS = 32
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k = 0..3
 _LETTER_OF = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -153,40 +160,51 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return ((p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()) % 2 == 0
 
 
-def flip_index(p: PauliString) -> frozenset[int]:
-    """Set of qubit positions carrying X or Y (the set bits of x_mask)."""
-    return frozenset(i for i in range(p.n_qubits) if (p.x_mask >> i) & 1)
-
-
 class QubitHamiltonian:
     """Weighted sum of Pauli strings with real coefficients (Hartree).
 
-    Terms are stored in canonical (x_mask, z_mask) order so iteration,
-    grouping, and gradient tie-breaking are deterministic. Instances are
-    treated as immutable; all operations return new objects.
+    Terms are stored as the arrays `x`, `z` (uint64 masks) and `coeff`
+    (float64) in canonical (x_mask, z_mask) order, so iteration, grouping,
+    and gradient tie-breaking are deterministic. Instances and their arrays
+    are treated as immutable; all operations return new objects.
     """
 
-    __slots__ = ("n_qubits", "_terms")
+    __slots__ = ("n_qubits", "x", "z", "coeff")
 
     def __init__(
         self,
         n_qubits: int,
-        terms: Mapping[PauliString, float],
+        terms: Mapping[PauliString, float] | Iterable[tuple[PauliString, float]],
         prune: float = DEFAULT_PRUNE,
     ) -> None:
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be positive, got {n_qubits}")
-        clean: dict[PauliString, float] = {}
-        for p, c in sorted(terms.items(), key=lambda kv: kv[0].key()):
-            if p.n_qubits != n_qubits:
-                raise ValueError(f"term {p!r} does not act on {n_qubits} qubits")
-            c = float(c)
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coefficient for {p!r}")
-            if abs(c) >= prune:
-                clean[p] = c
-        self.n_qubits = n_qubits
-        self._terms = clean
+        if not 1 <= n_qubits <= HAMILTONIAN_MAX_QUBITS:
+            raise ValueError(
+                f"n_qubits must be in 1..{HAMILTONIAN_MAX_QUBITS}, got {n_qubits}"
+            )
+        pairs = list(terms.items() if isinstance(terms, Mapping) else terms)
+        if any(p.n_qubits != n_qubits for p, _ in pairs):
+            raise ValueError(f"every term must act on {n_qubits} qubits")
+        coeff = np.array([float(c) for _, c in pairs], dtype=np.float64)
+        if not np.isfinite(coeff).all():
+            raise ValueError("non-finite coefficient")
+        masks = np.array([p.key() for p, _ in pairs], dtype=np.uint64).reshape(-1, 2)
+        self._assign(n_qubits, masks[:, 0], masks[:, 1], coeff, prune)
+
+    def _assign(self, n_qubits, x, z, coeff, prune) -> None:
+        """Sum like terms (in input order, from 0.0), sort, drop |c| < prune."""
+        shift = np.uint64(n_qubits)
+        key, slot = np.unique((x << shift) | z, return_inverse=True)
+        coeff = np.bincount(slot, coeff)
+        keep = np.abs(coeff) >= prune
+        self.n_qubits, self.x, self.coeff = n_qubits, key[keep] >> shift, coeff[keep]
+        self.z = key[keep] ^ (self.x << shift)
+
+    @classmethod
+    def _from_parts(cls, n_qubits, parts, prune) -> "QubitHamiltonian":
+        """Sum of (x, z, coeff) term arrays, which may repeat a string."""
+        h = cls.__new__(cls)
+        h._assign(n_qubits, *(np.concatenate(a) for a in zip(*parts)), prune)
+        return h
 
     @classmethod
     def from_labels(
@@ -195,68 +213,51 @@ class QubitHamiltonian:
         """Build from {label: coefficient}; all labels must share one length."""
         if not coeffs:
             raise ValueError("empty Hamiltonian")
-        strings = {PauliString.from_label(s): c for s, c in coeffs.items()}
-        n = next(iter(strings)).n_qubits
-        return cls(n, strings, prune=prune)
-
-    @property
-    def terms(self) -> Mapping[PauliString, float]:
-        return self._terms
+        pairs = [(PauliString.from_label(s), c) for s, c in coeffs.items()]
+        return cls(pairs[0][0].n_qubits, pairs, prune=prune)
 
     def items(self) -> Iterator[tuple[PauliString, float]]:
-        return iter(self._terms.items())
+        for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeff.tolist()):
+            yield PauliString(self.n_qubits, x, z), c
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return self.coeff.size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QubitHamiltonian):
             return NotImplemented
-        return self.n_qubits == other.n_qubits and self._terms == other._terms
+        ours, theirs = (self.x, self.z, self.coeff), (other.x, other.z, other.coeff)
+        return self.n_qubits == other.n_qubits and all(map(np.array_equal, ours, theirs))
 
     def __repr__(self) -> str:
-        return f"QubitHamiltonian(n_qubits={self.n_qubits}, terms={len(self._terms)})"
+        return f"QubitHamiltonian(n_qubits={self.n_qubits}, terms={len(self)})"
 
     def coefficient(self, p: PauliString) -> float:
-        return self._terms.get(p, 0.0)
+        hit = (self.x == p.x_mask) & (self.z == p.z_mask)
+        return float(self.coeff[hit].sum()) if p.n_qubits == self.n_qubits else 0.0
 
     @property
     def identity_coefficient(self) -> float:
-        return self._terms.get(PauliString.identity(self.n_qubits), 0.0)
+        return self.coefficient(PauliString.identity(self.n_qubits))
 
     def allclose(self, other: "QubitHamiltonian", tol: float = 1e-10) -> bool:
         if self.n_qubits != other.n_qubits:
             return False
-        keys = set(self._terms) | set(other._terms)
-        return all(abs(self.coefficient(p) - other.coefficient(p)) <= tol for p in keys)
+        negated = [(p, -c) for p, c in other.items()]
+        diff = QubitHamiltonian(self.n_qubits, [*self.items(), *negated], prune=0.0)
+        return bool(np.all(np.abs(diff.coeff) <= tol))
 
     def to_json_dict(self) -> dict:
         """Lossless JSON form: {"n_qubits": m, "terms": [{"pauli": ..., "coeff": ...}]}."""
         return {
             "n_qubits": self.n_qubits,
-            "terms": [
-                {"pauli": p.to_label(), "coeff": c} for p, c in self._terms.items()
-            ],
+            "terms": [{"pauli": p.to_label(), "coeff": c} for p, c in self.items()],
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QubitHamiltonian":
-        n = int(data["n_qubits"])
-        terms: dict[PauliString, float] = {}
-        for entry in data["terms"]:
-            p = PauliString.from_label(entry["pauli"])
-            terms[p] = terms.get(p, 0.0) + float(entry["coeff"])
-        return cls(n, terms)
-
-
-def partition_by_flip_index(
-    h: QubitHamiltonian,
-) -> dict[frozenset[int], list[tuple[PauliString, float]]]:
-    """Group terms by their flip index; every term lands in exactly one group."""
-    groups: dict[frozenset[int], list[tuple[PauliString, float]]] = {}
-    for p, c in h.items():
-        groups.setdefault(flip_index(p), []).append((p, c))
-    return groups
+        terms = [(PauliString.from_label(t["pauli"]), t["coeff"]) for t in data["terms"]]
+        return cls(int(data["n_qubits"]), terms)
 
 
 def dress(
@@ -267,29 +268,28 @@ def dress(
 ) -> QubitHamiltonian:
     """Similarity transform exp(+i tau p/2) H exp(-i tau p/2).
 
-    Terms commuting with p pass through; an anticommuting term C*Q becomes
-    C*cos(tau)*Q + C*sin(tau)*(i p Q). Because p and Q anticommute, i*p*Q is
-    again a Pauli string with a real sign, so the result stays Hermitian
-    with real coefficients. Like terms are merged and dust below `prune`
-    is dropped.
+    Terms commuting with p (even symplectic form) pass through; an
+    anticommuting term C*Q becomes C*cos(tau)*Q + C*sin(tau)*(i p Q).
+    Because p and Q anticommute, i*p*Q is again a Pauli string with a real
+    sign, so the result stays Hermitian with real coefficients. Like terms
+    are merged and dust below `prune` is dropped.
     """
     if p.n_qubits != h.n_qubits:
         raise ValueError(f"qubit-count mismatch: {p.n_qubits} vs {h.n_qubits}")
     if not math.isfinite(tau):
         raise ValueError(f"non-finite rotation angle {tau!r}")
-    c, s = math.cos(tau), math.sin(tau)
-    out: dict[PauliString, float] = {}
-    for q, coeff in h.items():
-        if commutes(p, q):
-            out[q] = out.get(q, 0.0) + coeff
-            continue
-        out[q] = out.get(q, 0.0) + coeff * c
-        prod = multiply(p, q)
-        # p, q anticommute, so the product phase is +/-i and i*phase is +/-1.
-        sign = (1j * prod.phase).real
-        assert sign in (1.0, -1.0)
-        out[prod.string] = out.get(prod.string, 0.0) + coeff * s * sign
-    return QubitHamiltonian(h.n_qubits, out, prune=prune)
+    px, pz = np.uint64(p.x_mask), np.uint64(p.z_mask)
+    anti = (np.bitwise_count((h.x & pz) ^ (h.z & px)) & 1).astype(bool)
+    hx, hz = h.x[anti], h.z[anti]
+    qx, qz = hx ^ px, hz ^ pz
+    # multiply's phase exponent k, with -|x'&z'| as +3|x'&z'| so the uint8 sum
+    # stays in 0..255; the phase i^k is +/-i, and i * i^k is -1 iff k = 1 mod 4.
+    k = (p.x_mask & p.z_mask).bit_count() + np.bitwise_count(hx & hz)
+    k = k + 2 * np.bitwise_count(pz & hx) + 3 * np.bitwise_count(qx & qz)
+    prod = h.coeff[anti] * math.sin(tau) * np.where(k & 3 == 1, -1.0, 1.0)
+    kept = np.where(anti, h.coeff * math.cos(tau), h.coeff)
+    parts = [(h.x, h.z, kept), (qx, qz, prod)]
+    return QubitHamiltonian._from_parts(h.n_qubits, parts, prune)
 
 
 def dress_sequence(

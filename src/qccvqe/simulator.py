@@ -170,12 +170,9 @@ def expectation(state: Statevector, h: QubitHamiltonian) -> float:
     conj = amp.conj()
     idx = np.arange(amp.size, dtype=np.uint64)
     total = 0.0 + 0.0j
-    for p, c in h.items():
-        vec = _pauli_phase_vector(p.x_mask, p.z_mask, idx) * amp
-        if p.x_mask:
-            total += c * np.dot(conj[(idx ^ np.uint64(p.x_mask)).astype(np.int64)], vec)
-        else:
-            total += c * np.dot(conj, vec)
+    for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeff.tolist()):
+        vec = _pauli_phase_vector(x, z, idx) * amp
+        total += c * np.dot(conj[idx ^ np.uint64(x)], vec)
     if abs(total.imag) > 1e-8:
         raise ValueError(f"expectation has imaginary part {total.imag!r}")
     return float(total.real)
@@ -354,7 +351,7 @@ def per_group_error(
         )
     errors: list[tuple[int, float]] = []
     for (gid, sampled, _), group in zip(estimate.per_group, grouping.groups):
-        members = QubitHamiltonian(state.n_qubits, dict(group.members), prune=0.0)
+        members = QubitHamiltonian(state.n_qubits, group.members, prune=0.0)
         exact = expectation(state, members)
         errors.append((gid, exact - sampled))
     return errors

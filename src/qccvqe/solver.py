@@ -120,15 +120,8 @@ def _basis_index_of(ref: Statevector, n_qubits: int) -> int:
     return index
 
 
-def _term_arrays(h: QubitHamiltonian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Term x-masks, z-masks (uint64) and coefficients, in h's term order."""
-    x = np.fromiter((p.x_mask for p in h.terms), dtype=np.uint64, count=len(h))
-    z = np.fromiter((p.z_mask for p in h.terms), dtype=np.uint64, count=len(h))
-    return x, z, np.fromiter(h.terms.values(), dtype=np.float64, count=len(h))
-
-
 def _support_energy(
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    h: QubitHamiltonian,
     b: int,
     rotations: Sequence[tuple[PauliString, float]],
 ) -> float:
@@ -150,7 +143,7 @@ def _support_energy(
             np.concatenate([idx, idx ^ np.uint64(p.x_mask)]), return_inverse=True
         )
         amp = np.bincount(where, merged.real) + 1j * np.bincount(where, merged.imag)
-    x, z, coeff = (a[:, None] for a in terms)
+    x, z, coeff = (a[:, None] for a in (h.x, h.z, h.coeff))
     partner = idx ^ x
     slot = np.minimum(np.searchsorted(idx, partner), idx.size - 1)
     hit = idx[slot] == partner
@@ -173,10 +166,9 @@ def screen_generators(
     string order.
     """
     b = np.uint64(_basis_index_of(ref, h.n_qubits))
-    x, z, coeff = _term_arrays(h)
-    flips = x != 0
-    column = coeff[flips] * _pauli_phase_vector(x[flips], z[flips], b)
-    x_masks, group = np.unique(x[flips], return_inverse=True)
+    flips = h.x != 0
+    column = h.coeff[flips] * _pauli_phase_vector(h.x[flips], h.z[flips], b)
+    x_masks, group = np.unique(h.x[flips], return_inverse=True)
     sums = np.bincount(group, column.real) + 1j * np.bincount(group, column.imag)
     # flip_representative's z-mask: Y on the lowest flipped qubit only.
     rep_z = x_masks & (~x_masks + np.uint64(1))
@@ -213,14 +205,13 @@ def optimize_amplitudes(
     if not generators:
         raise ValueError("no generators to optimize")
     index = _basis_index_of(ref, h.n_qubits)
-    terms = _term_arrays(h)
     n = len(generators)
     taus = [0.0] * n
 
     def shifted_energy(j: int, shift: float) -> float:
         shifted = list(taus)
         shifted[j] += shift
-        return _support_energy(terms, index, list(zip(generators, shifted)))
+        return _support_energy(h, index, list(zip(generators, shifted)))
 
     e_zero = e_cur = shifted_energy(0, 0.0)
     for _ in range(_MAX_SWEEPS):
@@ -352,7 +343,7 @@ def qcc_run(
     cfg = cfg or QccConfig()
     b = _basis_index_of(ref, h0.n_qubits)
     h = h0
-    initial_energy = e_prev = _support_energy(_term_arrays(h), b, ())
+    initial_energy = e_prev = _support_energy(h, b, ())
     records: list[IterationRecord] = []
     converged = False
     for _ in range(cfg.max_iterations):
@@ -368,7 +359,7 @@ def qcc_run(
             break
         pairs = tuple(zip(generators, taus))
         h = dress_sequence(h, pairs, prune=cfg.prune_threshold)
-        energy = _support_energy(_term_arrays(h), b, ())
+        energy = _support_energy(h, b, ())
         records.append(
             IterationRecord(
                 generators=pairs,
@@ -436,6 +427,8 @@ def extrapolate(
         raise ExtrapolationError(f"window must cover at least 3 iterations, got {window}")
     if discard < 0:
         raise ExtrapolationError(f"discard must be non-negative, got {discard}")
+    if not all(t > 0.0 and math.isfinite(t) for t in thresholds):
+        raise ExtrapolationError(f"thresholds must be positive and finite: {thresholds}")
     needed = discard + window
     have = len(energies) - 1
     if have < needed:

@@ -4,10 +4,14 @@ Everything here deliberately avoids the package's bitmask arithmetic:
 operators are built from Kronecker products of explicit 2x2 matrices,
 unitaries from scipy.linalg.expm, and fermionic matrices from direct
 ladder-operator action on occupation bitstrings. Agreement between these
-routes and the package is what the tests assert.
+routes and the package is what the tests assert. The one exception is
+`dress_terms`, the term-by-term dressing loop over the package's scalar
+`commutes` and `multiply`, which the array `dress` must match bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -145,3 +149,25 @@ def random_hamiltonian(rng: np.random.Generator, n_qubits: int, n_terms: int):
     while len(coeffs) < n_terms:
         coeffs[random_label(rng, n_qubits)] = float(rng.normal(0.0, 1.0))
     return QubitHamiltonian.from_labels(coeffs)
+
+
+def dress_terms(h, p, tau: float, prune: float) -> list[tuple[tuple[int, int], float]]:
+    """Term-by-term exp(+i tau p/2) H exp(-i tau p/2) as sorted ((x, z), c) pairs.
+
+    Each anticommuting term C*Q becomes C*cos(tau)*Q + C*sin(tau)*(i p Q);
+    like terms are summed in a dict starting from 0.0 and |c| < prune dropped.
+    """
+    from qccvqe import commutes, multiply
+
+    c, s = math.cos(tau), math.sin(tau)
+    out: dict = {}
+    for q, coeff in h.items():
+        if commutes(p, q):
+            out[q] = out.get(q, 0.0) + coeff
+            continue
+        out[q] = out.get(q, 0.0) + coeff * c
+        prod = multiply(p, q)
+        sign = (1j * prod.phase).real
+        assert sign in (1.0, -1.0)
+        out[prod.string] = out.get(prod.string, 0.0) + coeff * s * sign
+    return sorted((q.key(), v) for q, v in out.items() if abs(v) >= prune)

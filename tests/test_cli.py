@@ -122,6 +122,55 @@ class TestHam:
         assert result.exit_code == 4
 
 
+class TestWidthLimit:
+    """Active spaces above 16 orbitals (32 qubits) are refused as config errors."""
+
+    @pytest.fixture()
+    def wide_fcidump(self, tmp_path):
+        path = tmp_path / "wide.fcidump"
+        lines = ["&FCI NORB=17,NELEC=2,MS2=0,", "&END"]
+        lines += [f" {-1.0 + 0.01 * i:.6f} {i} {i} 0 0" for i in range(1, 18)]
+        lines += [" 0.5 1 1 1 1", " 0.25 0 0 0 0"]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def write_manifest(self, tmp_path, fcidump, **fields):
+        path = tmp_path / "wide.manifest.json"
+        geometries = [{"label": "wide", "fcidump": str(fcidump)}]
+        payload = {"schema": "qcc-manifest/1", "geometries": geometries, **fields}
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_single_geometry_commands_exit_config(self, runner, wide_fcidump):
+        for command in ("ham", "fci"):
+            result = runner.invoke(main, [command, str(wide_fcidump)])
+            assert result.exit_code == 4, result.output
+            assert "17 active orbitals exceed the limit of 16" in result.output
+        # 16 of the 17 orbitals fit
+        result = runner.invoke(main, ["ham", str(wide_fcidump), "-o", "16"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["n_qubits"] == 32
+
+    def test_sweeps_refuse_a_wide_manifest(self, runner, wide_fcidump, tmp_path):
+        manifest = self.write_manifest(tmp_path, wide_fcidump, active_orbitals=17)
+        out_dir = str(tmp_path / "out")
+        for command in ("qcc", "pes"):
+            result = runner.invoke(main, [command, manifest, "--output-dir", out_dir])
+            assert result.exit_code == 4, result.output
+            assert "17 active orbitals" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_sweeps_record_a_wide_geometry(self, runner, wide_fcidump, tmp_path):
+        # the width comes from the FCIDUMP, so only that geometry fails
+        manifest = self.write_manifest(tmp_path, wide_fcidump)
+        out_dir = tmp_path / "out"
+        for command, summary in (("qcc", "summary.csv"), ("pes", "pes.csv")):
+            result = runner.invoke(main, [command, manifest, "--output-dir", str(out_dir)])
+            assert result.exit_code == 3, result.output
+            (row,) = csv.DictReader((out_dir / summary).open())
+            assert row["status"].startswith("error: 17 active orbitals exceed")
+
+
 class TestFci:
     def test_dimer_energy_matches_closed_form(self, runner, fixtures_dir):
         result = run_checked(
@@ -607,6 +656,14 @@ class TestExtrapolateCommand:
         path = tmp_path / "x.json"
         path.write_text(json.dumps({"schema": "something-else/9"}))
         assert runner.invoke(main, ["extrapolate", str(path)]).exit_code == 2
+
+    @pytest.mark.parametrize("threshold", ["0", "-1e-3", "nan", "inf"])
+    def test_bad_threshold_exits_numeric(self, runner, tmp_path, threshold):
+        energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
+        path = self.make_trace(tmp_path, energies)
+        result = runner.invoke(main, ["extrapolate", str(path), "--threshold", threshold])
+        assert result.exit_code == 3, result.output
+        assert "thresholds must be positive and finite" in result.output
 
 
 class TestMeasure:

@@ -9,17 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qccvqe import (
+    DEFAULT_PRUNE,
     PauliString,
     PhasedPauli,
+    QccConfig,
     QubitHamiltonian,
     commutes,
     dress,
     dress_sequence,
-    flip_index,
     multiply,
-    partition_by_flip_index,
+    prepare_basis_state,
+    qcc_run,
     to_dense,
 )
+from qccvqe.pauli import HAMILTONIAN_MAX_QUBITS
 
 import reference
 
@@ -52,6 +55,25 @@ def hamiltonian_and_generator(draw):
         p.n_qubits, {PauliString(p.n_qubits, x, z): c for (x, z), c in terms.items()}
     )
     return h, p
+
+
+@st.composite
+def dress_cases(draw):
+    """A sum, a generator, an angle (sometimes exactly 0) and a prune that
+    is 0, the default, or exactly the magnitude of one input term."""
+    h, p = draw(hamiltonian_and_generator())
+    tau = draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
+    at_term = abs(draw(st.sampled_from(h.coeff.tolist())))
+    return h, p, tau, draw(st.sampled_from([0.0, DEFAULT_PRUNE, at_term]))
+
+
+def hexed(terms):
+    """((x, z), float.hex(c)) pairs, in the given order."""
+    return [(key, float.hex(c)) for key, c in terms]
+
+
+def hexed_sum(h):
+    return hexed((p.key(), c) for p, c in h.items())
 
 
 class TestPauliString:
@@ -159,14 +181,6 @@ class TestCommutesAndFlip:
                 PauliString.from_label(a), PauliString.from_label(b)
             ) == exact
 
-    def test_flip_index_is_xy_positions(self):
-        rng = np.random.default_rng(RNG_SEED + 3)
-        for _ in range(100):
-            n = int(rng.integers(1, 8))
-            label = reference.random_label(rng, n)
-            expected = frozenset(i for i, ch in enumerate(label) if ch in "XY")
-            assert flip_index(PauliString.from_label(label)) == expected
-
 
 class TestQubitHamiltonian:
     def test_terms_sorted_canonically(self):
@@ -219,17 +233,14 @@ class TestQubitHamiltonian:
         assert not h.allclose(far)
         assert not h.allclose(QubitHamiltonian.from_labels({"X": 0.25}))
 
-    def test_partition_covers_every_term_once(self):
-        rng = np.random.default_rng(RNG_SEED + 4)
-        h = reference.random_hamiltonian(rng, 5, 20)
-        groups = partition_by_flip_index(h)
-        seen = []
-        for fset, members in groups.items():
-            for p, c in members:
-                assert flip_index(p) == fset
-                assert h.coefficient(p) == c
-                seen.append(p)
-        assert sorted(p.key() for p in seen) == sorted(p.key() for p, _ in h.items())
+    def test_width_limit(self):
+        # the sort key x << n | z uses all 64 bits at n = 32
+        n = HAMILTONIAN_MAX_QUBITS
+        top, low = PauliString(n, 1 << (n - 1), 1), PauliString(n, 1, 1 << (n - 1))
+        h = QubitHamiltonian(n, [(top, 1.0), (low, 2.0), (top, 0.5)])
+        assert list(h.items()) == [(low, 2.0), (top, 1.5)]
+        with pytest.raises(ValueError, match="n_qubits"):
+            QubitHamiltonian(n + 1, {PauliString.identity(n + 1): 1.0})
 
 
 class TestDress:
@@ -281,6 +292,29 @@ class TestDress:
     def test_empty_sequence_is_identity(self):
         h = QubitHamiltonian.from_labels({"ZZ": 1.0})
         assert dress_sequence(h, []) == h
+
+    @pytest.mark.parametrize(
+        "name, mapping",
+        [("chain4_d1.00.fcidump", "jordan_wigner"), ("chain4_d1.10.fcidump", "parity")],
+    )
+    def test_matches_the_scalar_route_along_a_fixture_trace(
+        self, load_problem, name, mapping
+    ):
+        _, h, ref = load_problem(name, 4, 4, mapping)
+        cfg = QccConfig(max_iterations=12)
+        trace = qcc_run(h, prepare_basis_state(h.n_qubits, ref), cfg)
+        assert len(trace.iterations) == 12
+        for p, tau in trace.all_generators:
+            expected = hexed(reference.dress_terms(h, p, tau, DEFAULT_PRUNE))
+            h = dress(h, p, tau)
+            assert hexed_sum(h) == expected
+
+    @PROPERTY
+    @given(dress_cases())
+    def test_matches_the_scalar_route(self, case):
+        h, p, tau, prune = case
+        expected = hexed(reference.dress_terms(h, p, tau, prune))
+        assert hexed_sum(dress(h, p, tau, prune=prune)) == expected
 
     def test_rejects_bad_inputs(self):
         h = QubitHamiltonian.from_labels({"ZZ": 1.0})
