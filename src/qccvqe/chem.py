@@ -20,7 +20,8 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .pauli import DEFAULT_PRUNE, PauliString, QubitHamiltonian, multiply
+from .pauli import DEFAULT_PRUNE, HAMILTONIAN_MAX_QUBITS, PauliString, QubitHamiltonian
+from .simulator import _PHASES
 
 __all__ = [
     "FcidumpError",
@@ -159,6 +160,8 @@ def parse_fcidump(source: str | TextIO) -> ElectronIntegrals:
             value = float(parts[0].replace("D", "E").replace("d", "e"))
         except ValueError:
             raise FcidumpError(f"non-numeric value {parts[0]!r}", lineno) from None
+        if not math.isfinite(value):
+            raise FcidumpError(f"non-finite value {parts[0]!r}", lineno)
         try:
             i, j, k, l = (int(s) for s in parts[1:])
         except ValueError:
@@ -425,40 +428,63 @@ def normalize_mapping(name: str) -> str:
         ) from None
 
 
-def _map_products(op: FermionOperator, mapping: str) -> dict[PauliString, complex]:
-    """Expand every ladder product into Pauli strings with complex weights."""
+def _map_products(
+    op: FermionOperator, mapping: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand every ladder product into Pauli strings with complex weights.
+
+    Returns canonical (x, z, w) arrays: distinct masks in (x, z) order and
+    their summed weights. From a table of ladder images indexed by (orbital,
+    action, factor), all products expand together, one ladder position at a
+    time: masks by XOR, the phase exponent as in `multiply` (-|x&z| as
+    +3|x&z|), weights c1 * c2 * phase, exact (+/-2^-k or +/-2^-k i). The
+    zero-weight copies that padding adds change no sum. Like strings are
+    summed in (term, factor combination) order, as the loop over `multiply`
+    sums them, so the result is bit-identical to that loop.
+    """
     ladder = _LADDERS[normalize_mapping(mapping)]
     n = op.n_spin_orbitals
-    identity = PauliString.identity(n)
-    out: dict[PauliString, complex] = {}
-    for ops, coeff in op.terms.items():
-        acc: LadderTerms = [(1.0 + 0.0j, identity)]
-        for orb, action in ops:
-            factors = ladder(orb, n, action == 1)
-            acc = [
-                (c1 * c2 * prod.phase, prod.string)
-                for c1, p1 in acc
-                for c2, p2 in factors
-                for prod in (multiply(p1, p2),)
-            ]
-        for c, p in acc:
-            out[p] = out.get(p, 0.0 + 0.0j) + coeff * c
-    return out
+    if not 1 <= n <= HAMILTONIAN_MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in 1..{HAMILTONIAN_MAX_QUBITS}, got {n}")
+    # Row 2 * orbital + action holds that ladder operator's two factors; the
+    # last row, identity with weights 1 and 0, pads shorter products.
+    factors = [(p.x_mask, p.z_mask, c) for orb in range(n) for action in (0, 1)
+               for c, p in ladder(orb, n, action == 1)] + [(0, 0, 1.0), (0, 0, 0.0)]
+    lx, lz, lw = (np.array(column, dtype).reshape(-1, 2) for column, dtype
+                  in zip(zip(*factors), (np.uint64, np.uint64, np.complex128)))
+    length = max(map(len, op.terms), default=0)
+    rows = [[2 * orb + act for orb, act in ops] + [2 * n] * (length - len(ops)) for ops in op.terms]
+    slots = np.array(rows, np.intp).reshape(len(rows), length)
+    x = z = np.zeros((len(op.terms), 1), np.uint64)
+    w = np.ones((len(op.terms), 1), np.complex128)
+    for j in range(length):
+        fx, fz, fw = (a[slots[:, j], None, :] for a in (lx, lz, lw))
+        px, pz = x[:, :, None], z[:, :, None]
+        x, z = px ^ fx, pz ^ fz
+        k = np.bitwise_count(px & pz) + np.bitwise_count(fx & fz)
+        k = k + 2 * np.bitwise_count(pz & fx) + 3 * np.bitwise_count(x & z)
+        w = w[:, :, None] * fw * _PHASES[k & 3]
+        x, z, w = (a.reshape(len(op.terms), -1) for a in (x, z, w))
+    shift = np.uint64(n)
+    key, slot = np.unique(((x << shift) | z).ravel(), return_inverse=True)
+    w = (np.array(list(op.terms.values()), np.float64)[:, None] * w).ravel()
+    w = np.bincount(slot, w.real) + 1j * np.bincount(slot, w.imag)
+    return key >> shift, key & np.uint64((1 << n) - 1), w
 
 
 def map_operator(
     op: FermionOperator, mapping: str, prune: float = DEFAULT_PRUNE
 ) -> QubitHamiltonian:
     """Qubit image of a Hermitian FermionOperator; one qubit per spin orbital."""
-    weights = _map_products(op, mapping)
-    residue = max((abs(c.imag) for c in weights.values()), default=0.0)
+    x, z, w = _map_products(op, mapping)
+    if not np.isfinite(w).all():
+        raise ValueError("non-finite mapped coefficient")
+    residue = float(np.abs(w.imag).max(initial=0.0))
     if residue > 1e-10:
         raise ValueError(
             f"mapped operator has imaginary residue {residue}; input not Hermitian"
         )
-    return QubitHamiltonian(
-        op.n_spin_orbitals, {p: c.real for p, c in weights.items()}, prune=prune
-    )
+    return QubitHamiltonian._from_parts(op.n_spin_orbitals, [(x, z, w.real)], prune)
 
 
 def jordan_wigner(op: FermionOperator, prune: float = DEFAULT_PRUNE) -> QubitHamiltonian:
@@ -565,28 +591,18 @@ def uccsd_generator_paulis(
     (P_k, c_k) pairs. A single Trotter step realizes exp(t G) as the
     rotation sequence exp(-i theta_k P_k / 2) with theta_k = -2 t c_k.
     """
+    pairs = [(((m, 1), (a, 0)), ((a, 1), (m, 0))) for a, m in exc.singles]
+    pairs += [
+        (((m, 1), (n, 1), (b, 0), (a, 0)), ((a, 1), (b, 1), (n, 0), (m, 0)))
+        for a, b, m, n in exc.doubles
+    ]
     results: list[list[tuple[PauliString, float]]] = []
-
-    def decompose(ops: LadderProduct, ops_dag: LadderProduct) -> list[tuple[PauliString, float]]:
-        op = FermionOperator(
-            n_spin_orbitals, {ops: 1.0, ops_dag: -1.0}
-        )
-        weights = _map_products(op, mapping)
-        out: list[tuple[PauliString, float]] = []
-        for p, c in sorted(weights.items(), key=lambda kv: kv[0].key()):
-            if abs(c.real) > 1e-10:
-                raise ValueError(f"generator term {p!r} is not anti-Hermitian")
-            if abs(c.imag) > 1e-12:
-                out.append((p, c.imag))
-        return out
-
-    for a, m in exc.singles:
-        results.append(decompose(((m, 1), (a, 0)), ((a, 1), (m, 0))))
-    for a, b, m, n in exc.doubles:
-        results.append(
-            decompose(
-                ((m, 1), (n, 1), (b, 0), (a, 0)),
-                ((a, 1), (b, 1), (n, 0), (m, 0)),
-            )
-        )
+    for ops, ops_dag in pairs:
+        op = FermionOperator(n_spin_orbitals, {ops: 1.0, ops_dag: -1.0})
+        x, z, w = _map_products(op, mapping)
+        pauli = [PauliString(n_spin_orbitals, a, b) for a, b in zip(x.tolist(), z.tolist())]
+        hermitian = np.flatnonzero(np.abs(w.real) > 1e-10)
+        if hermitian.size:
+            raise ValueError(f"generator term {pauli[hermitian[0]]!r} is not anti-Hermitian")
+        results.append([(p, c) for p, c in zip(pauli, w.imag.tolist()) if abs(c) > 1e-12])
     return results

@@ -3,10 +3,13 @@
 Provides the dense-matrix rendering of Pauli-sum Hamiltonians and the exact
 lowest eigenvalue, optionally restricted to a fixed-electron-number sector.
 Every numerical claim elsewhere in the package is checked against this
-module, so it stays deliberately simple: one builder puts the Pauli sum on
-a set of basis states (the C(n, N_e) states of the sector, or all 2^n), and
-an eigensolver takes its two lowest eigenvalues. The chain6 sector is a
-924 x 924 matrix, not a slice of the full 4096 x 4096 one.
+module, so it stays deliberately simple: one builder lists the matrix
+entries of the Pauli sum on a set of basis states (the C(n, N_e) states of
+the sector, or all 2^n), and an eigensolver takes the lowest eigenvalues.
+The chain6 sector is a 924 x 924 matrix, not a slice of the full 4096 x 4096
+one. Entries are real when every term has an even Y count, as in every
+mapped FCIDUMP. Dense blocks go to numpy's `eigh`; scipy is imported only
+for the sparse eigensolver on larger bases.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .pauli import PauliString, QubitHamiltonian
 from .simulator import _pauli_phase_vector
@@ -56,38 +56,39 @@ class GroundState:
     degenerate: bool
 
 
-def _matrix(h: QubitHamiltonian, basis: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Pauli sum on the sorted basis indices `basis`, as CSR.
+def _entries(
+    h: QubitHamiltonian, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the Pauli sum on the sorted basis indices `basis`.
 
     Entry (r, c) is <basis[r]|H|basis[c]>, from the action
-    P|b> = i^{|x&z|} (-1)^{|b&z|} |b ^ x>. Terms sharing an x-mask send
-    every column to the same row, so their phases are summed first and
-    placed once per mask. Entries whose row leaves the basis are dropped,
-    which leaves exactly the block of the full matrix on `basis`.
+    P|b> = i^{|x&z|} (-1)^{|b&z|} |b ^ x>. Terms sharing an x-mask (adjacent
+    in canonical order) send every column to the same row, so their phases
+    are summed first and placed once per mask; no (row, col) pair repeats.
+    Entries whose row leaves the basis are dropped, which leaves exactly the
+    block of the full matrix on `basis`. With an even Y count in every term
+    each phase is +/-1, so the values are returned real.
     """
     idx = basis.astype(np.uint64)
-    by_flip: dict[int, np.ndarray] = {}
-    for x_mask, z_mask, c in zip(h.x.tolist(), h.z.tolist(), h.coeff.tolist()):
-        vals = c * _pauli_phase_vector(x_mask, z_mask, idx)
-        prev = by_flip.get(x_mask)
-        by_flip[x_mask] = vals if prev is None else prev + vals
     cols = np.arange(idx.size)
-    rows_all, cols_all, vals_all = [], [], []
-    for x_mask, vals in by_flip.items():
+    flips, starts = np.unique(h.x, return_index=True)
+    rows_all, cols_all, vals_all = [cols[:0]], [cols[:0]], [np.zeros(0, np.complex128)]
+    for x_mask, terms in zip(flips.tolist(), np.split(np.arange(len(h)), starts[1:])):
+        vals = h.coeff[terms] @ _pauli_phase_vector(h.x[terms, None], h.z[terms, None], idx)
         flipped = idx ^ np.uint64(x_mask)
         rows = np.minimum(np.searchsorted(idx, flipped), idx.size - 1)
         inside = idx[rows] == flipped
         rows_all.append(rows[inside])
         cols_all.append(cols[inside])
         vals_all.append(vals[inside])
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(idx.size, idx.size),
-    )
+    vals = np.concatenate(vals_all)
+    if not (np.bitwise_count(h.x & h.z) & 1).any():
+        vals = vals.real
+    return np.concatenate(rows_all), np.concatenate(cols_all), vals
 
 
 def to_dense(h: QubitHamiltonian | PauliString) -> np.ndarray:
-    """Dense matrix of a Pauli sum (or a single string) in the shared basis.
+    """Dense complex128 matrix of a Pauli sum (or a single string).
 
     Row/column index b has qubit i at bit i. Built from the same phase
     kernel as the simulator rather than Kronecker products, so the bit
@@ -96,7 +97,11 @@ def to_dense(h: QubitHamiltonian | PauliString) -> np.ndarray:
     if isinstance(h, PauliString):
         h = QubitHamiltonian(h.n_qubits, {h: 1.0})
     _check_size(h.n_qubits)
-    return _matrix(h, np.arange(1 << h.n_qubits)).toarray()
+    dim = 1 << h.n_qubits
+    rows, cols, vals = _entries(h, np.arange(dim))
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[rows, cols] = vals
+    return mat
 
 
 def _sector_indices(
@@ -138,12 +143,17 @@ def exact_ground(
                 f"empty particle sector: {n_electrons} electrons on {h.n_qubits} qubits"
             )
 
-    mat = _matrix(h, basis)
+    rows, cols, entries = _entries(h, basis)
     # ARPACK needs at least k + 2 = 4 states, so tinier bases go dense.
     if basis.size <= DENSE_MAX_STATES or basis.size < 4:
-        top = min(1, basis.size - 1)
-        vals, vecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, top])
+        mat = np.zeros((basis.size,) * 2, dtype=entries.dtype)
+        mat[rows, cols] = entries
+        vals, vecs = np.linalg.eigh(mat)
     else:
+        import scipy.sparse  # imported here: about 0.1 s that dense solves never need
+        import scipy.sparse.linalg
+
+        mat = scipy.sparse.csr_matrix((entries, (rows, cols)), shape=(basis.size,) * 2)
         try:
             # A seeded start vector keeps reruns byte-identical.
             start = np.random.default_rng(0).uniform(-1.0, 1.0, basis.size)

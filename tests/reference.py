@@ -4,9 +4,10 @@ Everything here deliberately avoids the package's bitmask arithmetic:
 operators are built from Kronecker products of explicit 2x2 matrices,
 unitaries from scipy.linalg.expm, and fermionic matrices from direct
 ladder-operator action on occupation bitstrings. Agreement between these
-routes and the package is what the tests assert. The one exception is
-`dress_terms`, the term-by-term dressing loop over the package's scalar
-`commutes` and `multiply`, which the array `dress` must match bit for bit.
+routes and the package is what the tests assert. The exceptions are
+`dress_terms` and `map_products`, the term-by-term loops over the package's
+scalar `commutes` and `multiply` that the array `dress` and the array
+fermion-to-qubit map must match bit for bit.
 """
 
 from __future__ import annotations
@@ -137,17 +138,22 @@ def random_label(rng: np.random.Generator, n_qubits: int) -> str:
     return "".join(rng.choice(list("IXYZ"), size=n_qubits))
 
 
-def random_hamiltonian(rng: np.random.Generator, n_qubits: int, n_terms: int):
+def random_hamiltonian(
+    rng: np.random.Generator, n_qubits: int, n_terms: int, even_y: bool = False
+):
     """Random real Pauli sum with distinct strings; identity may appear.
 
-    The term count is capped at 4^n_qubits, the number of distinct strings.
+    With `even_y`, every string has an even number of Y letters, so the
+    matrix is real. The term count is capped at the number of such strings.
     """
     from qccvqe import QubitHamiltonian
 
-    n_terms = min(n_terms, 4**n_qubits)
+    n_terms = min(n_terms, (4**n_qubits + 2**n_qubits) // 2 if even_y else 4**n_qubits)
     coeffs: dict[str, float] = {}
     while len(coeffs) < n_terms:
-        coeffs[random_label(rng, n_qubits)] = float(rng.normal(0.0, 1.0))
+        label = random_label(rng, n_qubits)
+        if not (even_y and label.count("Y") % 2):
+            coeffs[label] = float(rng.normal(0.0, 1.0))
     return QubitHamiltonian.from_labels(coeffs)
 
 
@@ -171,3 +177,57 @@ def dress_terms(h, p, tau: float, prune: float) -> list[tuple[tuple[int, int], f
         assert sign in (1.0, -1.0)
         out[prod.string] = out.get(prod.string, 0.0) + coeff * s * sign
     return sorted((q.key(), v) for q, v in out.items() if abs(v) >= prune)
+
+
+def map_products(op, mapping: str) -> dict:
+    """Term-by-term fermion-to-qubit expansion as {PauliString: complex weight}.
+
+    Each ladder product multiplies its factors' images left to right with
+    the scalar `multiply`; like strings are summed in a dict from 0j in
+    (term, factor combination) order.
+    """
+    from qccvqe import PauliString, multiply
+    from qccvqe.chem import _LADDERS, normalize_mapping
+
+    ladder = _LADDERS[normalize_mapping(mapping)]
+    n = op.n_spin_orbitals
+    out: dict = {}
+    for ops, coeff in op.terms.items():
+        acc = [(1.0 + 0.0j, PauliString.identity(n))]
+        for orb, action in ops:
+            factors = ladder(orb, n, action == 1)
+            acc = [
+                (c1 * c2 * prod.phase, prod.string)
+                for c1, p1 in acc
+                for c2, p2 in factors
+                for prod in (multiply(p1, p2),)
+            ]
+        for c, p in acc:
+            out[p] = out.get(p, 0.0 + 0.0j) + coeff * c
+    return out
+
+
+def map_operator(op, mapping: str):
+    """QubitHamiltonian from the real parts of `map_products`."""
+    from qccvqe import QubitHamiltonian
+
+    weights = map_products(op, mapping)
+    return QubitHamiltonian(op.n_spin_orbitals, {p: c.real for p, c in weights.items()})
+
+
+def generator_paulis(exc, n_spin_orbitals: int, mapping: str) -> list:
+    """Per-excitation (PauliString, imaginary weight) lists from `map_products`."""
+    from qccvqe import FermionOperator
+
+    pairs = [(((m, 1), (a, 0)), ((a, 1), (m, 0))) for a, m in exc.singles]
+    pairs += [
+        (((m, 1), (n, 1), (b, 0), (a, 0)), ((a, 1), (b, 1), (n, 0), (m, 0)))
+        for a, b, m, n in exc.doubles
+    ]
+    out = []
+    for ops, ops_dag in pairs:
+        op = FermionOperator(n_spin_orbitals, {ops: 1.0, ops_dag: -1.0})
+        weights = sorted(map_products(op, mapping).items(), key=lambda kv: kv[0].key())
+        assert all(abs(c.real) <= 1e-10 for _, c in weights)
+        out.append([(p, c.imag) for p, c in weights if abs(c.imag) > 1e-12])
+    return out

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qccvqe import (
     ActiveSpaceProblem,
@@ -27,8 +29,10 @@ from qccvqe import (
     uccsd_excitations,
     uccsd_generator_paulis,
 )
+from qccvqe import chem
 
 import reference
+from test_pauli import PROPERTY
 
 SAMPLE = """\
  &FCI NORB=3,NELEC=2,MS2=0,
@@ -282,6 +286,73 @@ class TestMappings:
             h_parity, n_electrons=2, occupation_of=occupation_decoder("parity", 4)
         ).energy
         assert e_jw == pytest.approx(e_parity, abs=1e-10)
+
+
+def term_hex(h):
+    return [(p.key(), c.hex()) for p, c in h.items()]
+
+
+@st.composite
+def fermion_operators(draw):
+    """Number-conserving operators whose 0-, 2- and 4-ladder products interleave.
+
+    Ladder operators within a product come in any order. Coefficients are
+    mostly thirds, whose sums round differently in different orders, plus
+    signed zeros and exactly cancelling values. The operator may be empty.
+    """
+    n = draw(st.integers(1, 4))  # few orbitals, so products share strings
+    orbital = st.integers(0, n - 1)
+    coeff = st.one_of(
+        st.floats(-4.0, 4.0).map(lambda v: v / 3),
+        st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
+    )
+    terms = {}
+    for length in draw(st.lists(st.sampled_from([4, 0, 2]), max_size=10)):
+        ops = [(draw(orbital), i % 2) for i in range(length)]
+        terms[tuple(draw(st.permutations(ops)))] = draw(coeff)
+    return FermionOperator(n, terms)
+
+
+class TestArrayMap:
+    """The array map equals the term-by-term loop over `multiply` bit for bit."""
+
+    @pytest.mark.parametrize("mapping", chem.MAPPINGS)
+    def test_shipped_fixtures_match_loop(self, fixtures_dir, mapping):
+        for path in sorted(fixtures_dir.glob("*.fcidump")):
+            ints = parse_fcidump(path.read_text())
+            prob = cas_reduce(ints, range(ints.n_orbitals), ints.n_electrons)
+            op = build_active_hamiltonian(prob)
+            expected = term_hex(reference.map_operator(op, mapping))
+            assert term_hex(map_operator(op, mapping)) == expected, path.name
+
+    @pytest.mark.parametrize("mapping", chem.MAPPINGS)
+    @pytest.mark.parametrize("n_electrons, n_orbitals", [(2, 2), (4, 4)])
+    def test_uccsd_generators_match_loop(self, n_electrons, n_orbitals, mapping):
+        exc = uccsd_excitations(n_electrons, n_orbitals)
+        ours = uccsd_generator_paulis(exc, 2 * n_orbitals, mapping)
+        theirs = reference.generator_paulis(exc, 2 * n_orbitals, mapping)
+        assert [[(p.key(), c.hex()) for p, c in e] for e in ours] == [
+            [(p.key(), c.hex()) for p, c in e] for e in theirs
+        ]
+
+    @PROPERTY
+    @given(fermion_operators(), st.sampled_from(chem.MAPPINGS))
+    def test_random_operators_match_loop(self, op, mapping):
+        x, z, w = chem._map_products(op, mapping)
+        ours = [
+            (key, c.real.hex(), c.imag.hex())
+            for key, c in zip(zip(x.tolist(), z.tolist()), w.tolist())
+        ]
+        expected = sorted(
+            (p.key(), c.real.hex(), c.imag.hex())
+            for p, c in reference.map_products(op, mapping).items()
+        )
+        assert ours == expected
+
+    def test_empty_operator_and_bare_scalar(self):
+        assert len(map_operator(FermionOperator(4, {}), "jordan_wigner")) == 0
+        scalar = map_operator(FermionOperator(4, {(): 1.5}), "parity")
+        assert term_hex(scalar) == [((0, 0), (1.5).hex())]
 
 
 class TestUccsd:

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,59 @@ class TestHam:
             ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), "-e", "1", "-o", "2"],
         )
         assert result.exit_code == 4
+
+
+# One appended data line per kind; each is line 12 of the dimer FCIDUMP.
+NON_FINITE_LINES = {
+    "core": "{} 0 0 0 0",
+    "h1": "{} 1 1 0 0",
+    "g2": "{} 1 1 1 1",
+    "orbital_energy": "{} 1 0 0 0",
+}
+
+
+@pytest.fixture(
+    params=[(kind, value) for kind in NON_FINITE_LINES for value in ("nan", "inf")],
+    ids=lambda param: "-".join(param),
+)
+def non_finite_fcidump(request, fixtures_dir, tmp_path):
+    kind, value = request.param
+    text = (fixtures_dir / "dimer_d1.00.fcidump").read_text()
+    path = tmp_path / f"{kind}_{value}.fcidump"
+    path.write_text(text + f" {NON_FINITE_LINES[kind].format(value)}\n")
+    return path
+
+
+class TestNonFiniteFcidump:
+    @pytest.mark.parametrize("command", ["ham", "fci"])
+    def test_single_geometry_commands_exit_parse(
+        self, runner, non_finite_fcidump, command
+    ):
+        result = runner.invoke(main, [command, str(non_finite_fcidump)])
+        assert result.exit_code == 2, result.output
+        assert "line 12: non-finite value" in result.stderr
+
+    @pytest.mark.parametrize("command", ["qcc", "pes"])
+    def test_sweeps_record_an_error_row(
+        self, runner, non_finite_fcidump, tmp_path, command
+    ):
+        manifest = tmp_path / "bad.manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {
+                    "schema": "qcc-manifest/1",
+                    "geometries": [{"label": "bad", "fcidump": str(non_finite_fcidump)}],
+                }
+            )
+        )
+        out_dir = tmp_path / "out"
+        args = [command, str(manifest), "--output-dir", str(out_dir)]
+        result = runner.invoke(main, args + (["--shots", "64"] if command == "pes" else []))
+        assert result.exit_code == 3, result.output
+        summary = "pes.csv" if command == "pes" else "summary.csv"
+        (row,) = csv.DictReader((out_dir / summary).open())
+        assert row["status"].startswith("error: line 12: non-finite value")
+        assert sorted(p.name for p in out_dir.iterdir()) == [summary]
 
 
 class TestWidthLimit:
@@ -790,3 +844,28 @@ class TestImport:
             check=True,
         )
         assert result.stdout.strip() == "False"
+
+    def test_sweeps_leave_scipy_out(self, fixtures_dir, tmp_path):
+        # scipy serves only the sparse eigensolver above DENSE_MAX_STATES
+        # states and the UCCSD optimizer; importing it costs about 0.1 s.
+        for path in fixtures_dir.glob("dimer*"):
+            shutil.copy(path, tmp_path)
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "from qccvqe.cli import main\n"
+            "manifest, out = sys.argv[1:]\n"
+            "main(['qcc', manifest, '--output-dir', out + '/qcc'], standalone_mode=False)\n"
+            "main(['pes', manifest, '--output-dir', out + '/pes', '--shots', '64'],\n"
+            "     standalone_mode=False)\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "dimer.manifest.json"), str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert len(list((tmp_path / "pes").glob("*.shots.json"))) == 3
+        assert result.stdout.splitlines()[-1] == "False"

@@ -30,6 +30,14 @@ class TestToDense:
             h = reference.random_hamiltonian(rng, n, 10)
             assert np.allclose(to_dense(h), reference.ham_matrix(h), atol=1e-12)
 
+    def test_returns_complex128_on_both_routes(self):
+        rng = np.random.default_rng(RNG_SEED + 3)
+        for even_y in (False, True):
+            h = reference.random_hamiltonian(rng, 3, 12, even_y=even_y)
+            dense = to_dense(h)
+            assert dense.dtype == np.complex128
+            assert np.allclose(dense, reference.ham_matrix(h), atol=1e-12)
+
     def test_accepts_bare_string(self):
         p = PauliString.from_label("XZY")
         assert np.allclose(to_dense(p), reference.label_matrix("XZY"), atol=1e-14)
@@ -122,9 +130,27 @@ class TestSectorBasis:
     @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
     def test_matches_sliced_reference(self, mapping, dense_max, monkeypatch):
         monkeypatch.setattr(oracle, "DENSE_MAX_STATES", dense_max)
+        self.check_random_sums(mapping, even_y=False)
+
+    @pytest.mark.parametrize("dense_max", [oracle.DENSE_MAX_STATES, 0])
+    @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
+    def test_real_sums_match_sliced_reference(self, mapping, dense_max, monkeypatch):
+        monkeypatch.setattr(oracle, "DENSE_MAX_STATES", dense_max)
+        self.check_random_sums(mapping, even_y=True)
+
+    @staticmethod
+    def check_random_sums(mapping, even_y):
+        """Random sums on 2-6 qubits against slices of the Kronecker matrix.
+
+        Sums with an even Y count in every string take the real-matrix
+        route; unrestricted random sums take the complex one.
+        """
         rng = np.random.default_rng(RNG_SEED + 2)
         for n in range(2, 7):
-            h = reference.random_hamiltonian(rng, n, 3 * n)
+            h = reference.random_hamiltonian(rng, n, 3 * n, even_y=even_y)
+            odd_y = any(p.to_label().count("Y") % 2 for p, _ in h.items())
+            _, _, vals = oracle._entries(h, np.arange(1 << n))
+            assert vals.dtype == (np.complex128 if odd_y else np.float64)
             full = reference.ham_matrix(h)
             decoder = occupation_decoder(mapping, n)
             counts = np.bitwise_count(decoder(np.arange(1 << n, dtype=np.uint64)))
