@@ -20,7 +20,8 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .pauli import DEFAULT_PRUNE, HAMILTONIAN_MAX_QUBITS, PauliString, QubitHamiltonian
+from .pauli import (DEFAULT_PRUNE, HAMILTONIAN_MAX_QUBITS, PauliString,
+                    QubitHamiltonian, _product)
 from .simulator import _PHASES
 
 __all__ = [
@@ -436,11 +437,11 @@ def _map_products(
     Returns canonical (x, z, w) arrays: distinct masks in (x, z) order and
     their summed weights. From a table of ladder images indexed by (orbital,
     action, factor), all products expand together, one ladder position at a
-    time: masks by XOR, the phase exponent as in `multiply` (-|x&z| as
-    +3|x&z|), weights c1 * c2 * phase, exact (+/-2^-k or +/-2^-k i). The
-    zero-weight copies that padding adds change no sum. Like strings are
-    summed in (term, factor combination) order, as the loop over `multiply`
-    sums them, so the result is bit-identical to that loop.
+    time: masks and phase exponent from `pauli._product`, weights c1 * c2 *
+    phase, exact (+/-2^-k or +/-2^-k i). The zero-weight copies that
+    padding adds change no sum. Like strings are summed in (term, factor
+    combination) order, as the loop over `multiply` sums them, so the
+    result is bit-identical to that loop.
     """
     ladder = _LADDERS[normalize_mapping(mapping)]
     n = op.n_spin_orbitals
@@ -459,11 +460,8 @@ def _map_products(
     w = np.ones((len(op.terms), 1), np.complex128)
     for j in range(length):
         fx, fz, fw = (a[slots[:, j], None, :] for a in (lx, lz, lw))
-        px, pz = x[:, :, None], z[:, :, None]
-        x, z = px ^ fx, pz ^ fz
-        k = np.bitwise_count(px & pz) + np.bitwise_count(fx & fz)
-        k = k + 2 * np.bitwise_count(pz & fx) + 3 * np.bitwise_count(x & z)
-        w = w[:, :, None] * fw * _PHASES[k & 3]
+        x, z, k = _product(x[:, :, None], z[:, :, None], fx, fz)
+        w = w[:, :, None] * fw * _PHASES[k]
         x, z, w = (a.reshape(len(op.terms), -1) for a in (x, z, w))
     shift = np.uint64(n)
     key, slot = np.unique(((x << shift) | z).ravel(), return_inverse=True)

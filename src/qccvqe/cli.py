@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import click
 
@@ -31,7 +31,7 @@ class ConfigError(Exception):
     """User-supplied settings (flags, manifest, CAS spec) are unusable."""
 
 
-def _die(code: int, message: str) -> None:
+def _die(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -43,15 +43,24 @@ def _read_text(path: Path) -> str:
         _die(EXIT_CONFIG, f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         _die(EXIT_PARSE, f"{path}: not UTF-8 text: {exc}")
-    raise AssertionError  # unreachable
 
 
 def _load_json(path: Path) -> dict:
     try:
-        return json.loads(_read_text(path))
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         _die(EXIT_PARSE, f"{path}: invalid JSON: {exc}")
-        raise AssertionError
+    if not isinstance(data, dict):
+        _die(EXIT_PARSE, f"{path}: top level must be a JSON object")
+    return data
+
+
+def _parse(path: Path, build, data: dict):
+    """build(data), a missing key or an unusable value exiting as a parse error."""
+    try:
+        return build(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        _die(EXIT_PARSE, f"{path}: malformed content: {exc!r}")
 
 
 def _write_json(path: Path | None, payload: dict) -> None:
@@ -168,7 +177,6 @@ def _build_problem_or_die(
         _die(EXIT_CONFIG, f"{fcidump_path}: {exc}")
     except ValueError as exc:
         _die(EXIT_NUMERIC, f"{fcidump_path}: {exc}")
-    raise AssertionError  # unreachable
 
 
 def _ground_energy(geom: GeometryProblem) -> oracle.GroundState:
@@ -284,15 +292,14 @@ def fci(fcidump, active_electrons, n_orbitals, window, mapping, full_spectrum, o
 @click.argument("fcidump", type=click.Path(exists=True, path_type=Path))
 @_with_options(_cas_options)
 @click.option("--optimize", "run_opt", is_flag=True,
-              help="Variationally optimize the amplitudes (slow).")
+              help="Variationally optimize the amplitudes.")
 @click.option("--force", is_flag=True,
               help="Optimize even above the parameter ceiling.")
 @click.option("--param-ceiling", type=int, default=30, show_default=True,
               help="Refuse --optimize above this many parameters without --force.")
-@click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--output", type=click.Path(path_type=Path), default=None)
 def uccsd(fcidump, active_electrons, n_orbitals, window, mapping,
-          run_opt, force, param_ceiling, seed, output):
+          run_opt, force, param_ceiling, output):
     """Count (and optionally optimize) single-Trotter UCCSD parameters."""
     geom = _build_problem_or_die(fcidump, active_electrons, n_orbitals, window, mapping)
     prob = geom.problem
@@ -319,16 +326,14 @@ def uccsd(fcidump, active_electrons, n_orbitals, window, mapping,
             ref = simulator.prepare_basis_state(
                 geom.hamiltonian.n_qubits, geom.reference
             )
-            energy, amplitudes = solver.optimize_uccsd(
-                geom.hamiltonian, ref, generators, seed
-            )
+            energy, amplitudes = solver.optimize_uccsd(geom.hamiltonian, ref, generators)
         except ValueError as exc:
             _die(EXIT_NUMERIC, str(exc))
         payload["optimized"] = {
             "e_active": energy,
             "e_total": energy + prob.e_inactive + prob.e_nuclear,
             "amplitudes": amplitudes,
-            "note": "single Trotter step, desk-scale simplex optimization",
+            "note": "single Trotter step, exact coordinate sweeps",
         }
     _write_json(output, payload)
     if output is not None:
@@ -364,7 +369,7 @@ def _manifest_int(data: Mapping, key: str) -> int | None:
 def _load_manifest(
     path: Path,
     output_override: Path | None,
-    config_overrides: Mapping[str, object],
+    config_overrides: Mapping[str, object | None],
 ) -> Manifest:
     data = _load_json(path)
     try:
@@ -402,7 +407,7 @@ def _load_manifest(
         if not isinstance(mapping, str):
             raise ConfigError(f"mapping must be a string, got {mapping!r}")
         cfg_data = dict(data.get("qcc", {}))
-        cfg_data.update(config_overrides)
+        cfg_data.update((k, v) for k, v in config_overrides.items() if v is not None)
         config = QccConfig.from_mapping(cfg_data)
         shots = _manifest_int(data, "shots")
         if shots is not None and shots < 1:
@@ -423,7 +428,6 @@ def _load_manifest(
         )
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         _die(EXIT_CONFIG, f"{path}: {exc}")
-        raise AssertionError
 
 
 def _run_geometry(
@@ -541,25 +545,14 @@ _qcc_overrides = [
 ]
 
 
-def _collect_overrides(**kwargs) -> dict[str, object]:
-    return {key: value for key, value in kwargs.items() if value is not None}
-
-
 @main.command()
 @click.argument("manifest_path", type=click.Path(exists=True, path_type=Path))
 @_with_options(_qcc_overrides)
 @click.option("--output-dir", type=click.Path(path_type=Path), default=None,
               help="Override the manifest's output directory.")
-def qcc(manifest_path, generators_per_iteration, max_iterations,
-        energy_tolerance, output_dir):
+def qcc(manifest_path, output_dir, **overrides):
     """Run the iterative solver for every geometry in a manifest."""
-    overrides = _collect_overrides(
-        generators_per_iteration=generators_per_iteration,
-        max_iterations=max_iterations,
-        energy_tolerance=energy_tolerance,
-    )
-    manifest = _load_manifest(manifest_path, output_dir, overrides)
-    _run_manifest(manifest, "summary.csv")
+    _run_manifest(_load_manifest(manifest_path, output_dir, overrides), "summary.csv")
 
 
 @main.command()
@@ -570,16 +563,10 @@ def qcc(manifest_path, generators_per_iteration, max_iterations,
               help="Also emulate finite-shot measurement of each final state.")
 @click.option("--seed", type=int, default=None,
               help="Shot seed (overrides the manifest's).")
-def pes(manifest_path, generators_per_iteration, max_iterations,
-        energy_tolerance, output_dir, shots, seed):
+def pes(manifest_path, output_dir, shots, seed, **overrides):
     """Composite potential-energy-surface sweep: QCC + exact reference per point."""
     if shots is not None and shots < 1:
         _die(EXIT_CONFIG, f"shots must be positive, got {shots}")
-    overrides = _collect_overrides(
-        generators_per_iteration=generators_per_iteration,
-        max_iterations=max_iterations,
-        energy_tolerance=energy_tolerance,
-    )
     manifest = _load_manifest(manifest_path, output_dir, overrides)
     _run_manifest(
         manifest,
@@ -606,7 +593,7 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
     data = _load_json(trace_path)
     if data.get("schema") != "qcc-trace/1":
         _die(EXIT_PARSE, f"{trace_path}: expected schema qcc-trace/1")
-    trace = QccTrace.from_json_dict(data)
+    trace = _parse(trace_path, QccTrace.from_json_dict, data)
     try:
         result = solver.extrapolate(
             trace, discard=discard, window=window, thresholds=thresholds
@@ -644,6 +631,18 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
         )
     if output is not None:
         click.echo(f"e0 {_fmt(result.e0_estimate)} -> {output}")
+
+
+def _circuit_of(data: dict) -> tuple[str, list[tuple[PauliString, float]]]:
+    """Reference label and rotations of a qcc trace or a bare circuit file."""
+    if "iterations" in data:
+        trace = QccTrace.from_json_dict(data)
+        return trace.reference, trace.all_generators
+    generators = [
+        (PauliString.from_label(g["pauli"]), float(g["tau"]))
+        for g in data.get("generators", [])
+    ]
+    return str(data["reference"]), generators
 
 
 def _measure_state(
@@ -704,41 +703,19 @@ def measure(hamiltonian_path, circuit, shots, seed, output, per_group):
     data = _load_json(hamiltonian_path)
     if data.get("schema") != "qubit-hamiltonian/1":
         _die(EXIT_PARSE, f"{hamiltonian_path}: expected schema qubit-hamiltonian/1")
-    try:
-        ham = QubitHamiltonian.from_json_dict(data)
-    except ValueError as exc:
-        _die(EXIT_PARSE, f"{hamiltonian_path}: {exc}")
-    metadata = data.get("metadata", {})
+    ham = _parse(hamiltonian_path, QubitHamiltonian.from_json_dict, data)
     if circuit is not None:
-        circuit_data = _load_json(circuit)
-        if "iterations" in circuit_data:
-            trace = QccTrace.from_json_dict(circuit_data)
-            reference = trace.reference
-            generators = trace.all_generators
-        else:
-            try:
-                reference = str(circuit_data["reference"])
-                generators = [
-                    (PauliString.from_label(g["pauli"]), float(g["tau"]))
-                    for g in circuit_data.get("generators", [])
-                ]
-            except (KeyError, ValueError) as exc:
-                _die(EXIT_PARSE, f"{circuit}: {exc}")
+        reference, generators = _parse(circuit, _circuit_of, _load_json(circuit))
     else:
-        reference = metadata.get("reference")
+        reference = data.get("metadata", {}).get("reference")
         if reference is None:
-            _die(
-                EXIT_CONFIG,
-                "no --circuit given and the Hamiltonian metadata has no reference",
-            )
+            _die(EXIT_CONFIG, "no --circuit and no reference in the Hamiltonian metadata")
         generators = []
     if shots < 1:
         _die(EXIT_CONFIG, f"shots must be positive, got {shots}")
-    if len(reference) != ham.n_qubits:
-        _die(
-            EXIT_CONFIG,
-            f"reference {reference!r} does not match {ham.n_qubits} qubits",
-        )
+    widths = {len(reference)} | {p.n_qubits for p, _ in generators}
+    if widths != {ham.n_qubits}:
+        _die(EXIT_CONFIG, f"circuit on {sorted(widths)} qubits, Hamiltonian on {ham.n_qubits}")
     try:
         payload = _measure_state(ham, reference, generators, shots, seed)
     except ValueError as exc:

@@ -160,6 +160,17 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return ((p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()) % 2 == 0
 
 
+def _product(px, pz, qx, qz):
+    """`multiply` on mask arrays: (x, z, k) with p q = i^k P(x, z), k in 0..3.
+
+    -|x&z| enters as +3|x&z|, so the uint8 sum stays in 0..255 up to 32 qubits.
+    """
+    x, z = px ^ qx, pz ^ qz
+    k = np.bitwise_count(px & pz) + np.bitwise_count(qx & qz)
+    k = k + 2 * np.bitwise_count(pz & qx) + 3 * np.bitwise_count(x & z)
+    return x, z, k & 3
+
+
 class QubitHamiltonian:
     """Weighted sum of Pauli strings with real coefficients (Hartree).
 
@@ -280,13 +291,9 @@ def dress(
         raise ValueError(f"non-finite rotation angle {tau!r}")
     px, pz = np.uint64(p.x_mask), np.uint64(p.z_mask)
     anti = (np.bitwise_count((h.x & pz) ^ (h.z & px)) & 1).astype(bool)
-    hx, hz = h.x[anti], h.z[anti]
-    qx, qz = hx ^ px, hz ^ pz
-    # multiply's phase exponent k, with -|x'&z'| as +3|x'&z'| so the uint8 sum
-    # stays in 0..255; the phase i^k is +/-i, and i * i^k is -1 iff k = 1 mod 4.
-    k = (p.x_mask & p.z_mask).bit_count() + np.bitwise_count(hx & hz)
-    k = k + 2 * np.bitwise_count(pz & hx) + 3 * np.bitwise_count(qx & qz)
-    prod = h.coeff[anti] * math.sin(tau) * np.where(k & 3 == 1, -1.0, 1.0)
+    qx, qz, k = _product(px, pz, h.x[anti], h.z[anti])
+    # the phase i^k is +/-i, and i * i^k is -1 iff k = 1
+    prod = h.coeff[anti] * math.sin(tau) * np.where(k == 1, -1.0, 1.0)
     kept = np.where(anti, h.coeff * math.cos(tau), h.coeff)
     parts = [(h.x, h.z, kept), (qx, qz, prod)]
     return QubitHamiltonian._from_parts(h.n_qubits, parts, prune)

@@ -111,6 +111,14 @@ class TestHam:
         assert runner.invoke(main, ["extrapolate", str(bad)]).exit_code == 2
         assert runner.invoke(main, ["measure", str(bad)]).exit_code == 2
 
+    @pytest.mark.parametrize("command", ["qcc", "pes", "extrapolate", "measure"])
+    def test_non_object_json_exits_parse(self, runner, tmp_path, command):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        result = runner.invoke(main, [command, str(bad)])
+        assert result.exit_code == 2, result.output
+        assert "must be a JSON object" in result.output
+
     def test_missing_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["ham", str(tmp_path / "absent.fcidump")])
         assert result.exit_code == 2
@@ -278,6 +286,13 @@ class TestUccsd:
         )
         assert result.exit_code == 4
         assert "--force" in result.output
+
+    def test_seed_flag_is_gone(self, runner, fixtures_dir):
+        # the exact sweeps start from zero and draw nothing at random
+        result = runner.invoke(
+            main, ["uccsd", str(fixtures_dir / "dimer_d1.00.fcidump"), "--seed", "3"]
+        )
+        assert result.exit_code == 2, result.output
 
     def test_optimize_dimer_reaches_closed_form(self, runner, fixtures_dir):
         result = run_checked(
@@ -711,6 +726,18 @@ class TestExtrapolateCommand:
         path.write_text(json.dumps({"schema": "something-else/9"}))
         assert runner.invoke(main, ["extrapolate", str(path)]).exit_code == 2
 
+    @pytest.mark.parametrize("defect", ["missing key", "bad label"])
+    def test_malformed_trace_exits_parse(self, runner, tmp_path, defect):
+        path = self.make_trace(tmp_path, [1.0 / (i + 1.0) for i in range(46)])
+        payload = json.loads(path.read_text())
+        if defect == "missing key":
+            del payload["initial_energy"]
+        else:
+            payload["iterations"][0]["generators"][0]["pauli"] = "YXIQ"
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["extrapolate", str(path)])
+        assert result.exit_code == 2, result.output
+
     @pytest.mark.parametrize("threshold", ["0", "-1e-3", "nan", "inf"])
     def test_bad_threshold_exits_numeric(self, runner, tmp_path, threshold):
         energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
@@ -824,6 +851,46 @@ class TestMeasure:
         assert runner.invoke(main, ["measure", str(wrong)]).exit_code == 2
 
 
+    @pytest.mark.parametrize(
+        "defect", ["term without coeff", "trace missing key", "trace bad label"]
+    )
+    def test_malformed_inputs_exit_parse(self, runner, fixtures_dir, tmp_path, defect):
+        ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
+        trace = {
+            "schema": "qcc-trace/1",
+            "n_qubits": 4,
+            "reference": "1100",
+            "iterations": [
+                {"generators": [{"pauli": "YXII", "tau": 0.1}], "energy": -1.0,
+                 "term_count": 5}
+            ],
+            "initial_energy": -0.9,
+            "final_energy": -1.0,
+            "converged": True,
+        }
+        if defect == "term without coeff":
+            ham = json.loads(ham_path.read_text())
+            del ham["terms"][0]["coeff"]
+            ham_path.write_text(json.dumps(ham))
+        elif defect == "trace missing key":
+            del trace["n_qubits"]
+        else:
+            trace["iterations"][0]["generators"][0]["pauli"] = "YXIQ"
+        circuit = tmp_path / "trace.json"
+        circuit.write_text(json.dumps(trace))
+        result = runner.invoke(main, ["measure", str(ham_path), "--circuit", str(circuit)])
+        assert result.exit_code == 2, result.output
+
+    def test_circuit_width_mismatch_exits_config(self, runner, fixtures_dir, tmp_path):
+        ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
+        circuit = tmp_path / "c.json"
+        circuit.write_text(
+            json.dumps({"reference": "1100", "generators": [{"pauli": "XY", "tau": 0.1}]})
+        )
+        result = runner.invoke(main, ["measure", str(ham_path), "--circuit", str(circuit)])
+        assert result.exit_code == 4, result.output
+
+
 class TestVersion:
     def test_version_flag(self, runner):
         result = run_checked(runner, ["--version"])
@@ -832,8 +899,7 @@ class TestVersion:
 
 class TestImport:
     def test_cli_import_leaves_scipy_optimize_out(self):
-        # scipy.optimize costs about 150 ms per process; only the UCCSD
-        # baseline uses it, and it imports it on call.
+        # scipy.optimize costs about 150 ms per process, and nothing uses it.
         src = Path(__file__).resolve().parent.parent / "src"
         code = "import sys, qccvqe.cli; print('scipy.optimize' in sys.modules)"
         result = subprocess.run(
@@ -847,7 +913,7 @@ class TestImport:
 
     def test_sweeps_leave_scipy_out(self, fixtures_dir, tmp_path):
         # scipy serves only the sparse eigensolver above DENSE_MAX_STATES
-        # states and the UCCSD optimizer; importing it costs about 0.1 s.
+        # states; importing it costs about 0.1 s.
         for path in fixtures_dir.glob("dimer*"):
             shutil.copy(path, tmp_path)
         src = Path(__file__).resolve().parent.parent / "src"
@@ -868,4 +934,22 @@ class TestImport:
             check=True,
         )
         assert len(list((tmp_path / "pes").glob("*.shots.json"))) == 3
+        assert result.stdout.splitlines()[-1] == "False"
+
+    def test_uccsd_optimize_leaves_scipy_out(self, fixtures_dir):
+        # the UCCSD sweeps need only numpy's FFT and polynomial roots
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "from qccvqe.cli import main\n"
+            "main(['uccsd', sys.argv[1], '--optimize'], standalone_mode=False)\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(fixtures_dir / "dimer_d1.00.fcidump")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
         assert result.stdout.splitlines()[-1] == "False"

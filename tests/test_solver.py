@@ -1,6 +1,7 @@
 """Generator screening, amplitude optimization, the iterative loop, and the
 difference-decay extrapolation."""
 
+import functools
 import json
 import math
 
@@ -31,7 +32,7 @@ from qccvqe import (
     uccsd_excitations,
     uccsd_generator_paulis,
 )
-from qccvqe.solver import _support_energy
+from qccvqe.solver import _support_energy, _two_harmonic_step
 
 import reference
 from test_pauli import PROPERTY
@@ -393,7 +394,63 @@ class TestExtrapolate:
             extrapolate(energies, discard=-1)
 
 
+def uccsd_setup(load_problem, name, n_electrons, mapping):
+    """(H, reference state, excitation generators) of a half-filled fixture,
+    every orbital active."""
+    prob, h, ref_label = load_problem(name, n_electrons, n_electrons, mapping)
+    exc = uccsd_excitations(prob.n_active_electrons, prob.n_active_orbitals)
+    generators = uccsd_generator_paulis(exc, prob.n_spin_orbitals, mapping)
+    return h, prepare_basis_state(h.n_qubits, ref_label), generators
+
+
+def uccsd_energy(h, ref, generators, taus):
+    """Circuit energy with the layout optimize_uccsd documents."""
+    pairs = [(p, -2.0 * t * c) for t, ts in zip(taus, generators) for p, c in ts]
+    return expectation(apply_rotation_sequence(ref, pairs[::-1]), h)
+
+
 class TestUccsdOptimization:
+    @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
+    @pytest.mark.parametrize(
+        "name, n_electrons", [("dimer_d1.00.fcidump", 2), ("chain4_d1.00.fcidump", 4)]
+    )
+    def test_five_point_curve_is_exact(self, load_problem, name, n_electrons, mapping):
+        # Each generator G satisfies G^3 = G, so along one amplitude the
+        # energy has frequencies 0, 1 and 2 only, fixed by five samples.
+        h, ref, generators = uccsd_setup(load_problem, name, n_electrons, mapping)
+        rng = np.random.default_rng(RNG_SEED)
+        taus = rng.uniform(-math.pi, math.pi, len(generators))
+        base = uccsd_energy(h, ref, generators, taus)
+        for j in range(len(generators)):
+
+            @functools.cache  # the step samples the same four shifts again
+            def energy_at(d):
+                shifted = taus.copy()
+                shifted[j] += d
+                return uccsd_energy(h, ref, generators, shifted)
+
+            samples = [base] + [energy_at(2.0 * math.pi * k / 5) for k in range(1, 5)]
+            c0, c1, c2 = np.fft.rfft(samples) / 5
+
+            def model(d):
+                return c0.real + 2.0 * (c1 * np.exp(1j * d) + c2 * np.exp(2j * d)).real
+
+            d = rng.uniform(-math.pi, math.pi)
+            assert model(d) == pytest.approx(energy_at(d), abs=1e-10)
+            _, d_min, e_min = _two_harmonic_step(energy_at, base)
+            assert e_min == pytest.approx(energy_at(d_min), abs=1e-10)
+            assert e_min <= model(np.linspace(-math.pi, math.pi, 3601)).min() + 1e-12
+
+    def test_chain4_uccsd_near_sector_fci(self, load_problem):
+        h, ref, generators = uccsd_setup(load_problem, "chain4_d1.00.fcidump", 4, "jw")
+        energy, amplitudes = optimize_uccsd(h, ref, generators)
+        gs = exact_ground(
+            h, n_electrons=4, occupation_of=occupation_decoder("jw", h.n_qubits)
+        )
+        assert gs.energy <= energy <= gs.energy + 1e-4
+        assert energy == pytest.approx(uccsd_energy(h, ref, generators, amplitudes), abs=1e-12)
+        assert all(-math.pi <= t <= math.pi for t in amplitudes)
+
     def test_dimer_uccsd_reaches_exact_ground(self, dimer_problem):
         prob, h, ref_label = dimer_problem
         exc = uccsd_excitations(prob.n_active_electrons, prob.n_active_orbitals)
