@@ -633,16 +633,32 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
         click.echo(f"e0 {_fmt(result.e0_estimate)} -> {output}")
 
 
+def _reference_label(value) -> str:
+    """A reference state label; anything but a 0/1 string is malformed."""
+    if not isinstance(value, str) or not set(value) <= {"0", "1"}:
+        raise ValueError(f"reference must be a 0/1 string, got {value!r}")
+    return value
+
+
 def _circuit_of(data: dict) -> tuple[str, list[tuple[PauliString, float]]]:
     """Reference label and rotations of a qcc trace or a bare circuit file."""
     if "iterations" in data:
         trace = QccTrace.from_json_dict(data)
-        return trace.reference, trace.all_generators
+        return _reference_label(trace.reference), trace.all_generators
     generators = [
         (PauliString.from_label(g["pauli"]), float(g["tau"]))
         for g in data.get("generators", [])
     ]
-    return str(data["reference"]), generators
+    return _reference_label(data["reference"]), generators
+
+
+def _metadata_reference(data: dict) -> str | None:
+    """Reference label in a Hamiltonian file's metadata, None if absent."""
+    metadata = data.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise TypeError(f"metadata must be a JSON object, got {metadata!r}")
+    reference = metadata.get("reference")
+    return None if reference is None else _reference_label(reference)
 
 
 def _measure_state(
@@ -707,7 +723,7 @@ def measure(hamiltonian_path, circuit, shots, seed, output, per_group):
     if circuit is not None:
         reference, generators = _parse(circuit, _circuit_of, _load_json(circuit))
     else:
-        reference = data.get("metadata", {}).get("reference")
+        reference = _parse(hamiltonian_path, _metadata_reference, data)
         if reference is None:
             _die(EXIT_CONFIG, "no --circuit and no reference in the Hamiltonian metadata")
         generators = []

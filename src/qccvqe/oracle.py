@@ -6,10 +6,12 @@ Every numerical claim elsewhere in the package is checked against this
 module, so it stays deliberately simple: one builder lists the matrix
 entries of the Pauli sum on a set of basis states (the C(n, N_e) states of
 the sector, or all 2^n), and an eigensolver takes the lowest eigenvalues.
-The chain6 sector is a 924 x 924 matrix, not a slice of the full 4096 x 4096
-one. Entries are real when every term has an even Y count, as in every
-mapped FCIDUMP. Dense blocks go to numpy's `eigh`; scipy is imported only
-for the sparse eigensolver on larger bases.
+The chain6 sector has 924 states, not a slice of the full 4096. Entries are
+real when every term has an even Y count, as in every mapped FCIDUMP. Small
+bases are split into the connected components of their entries (chain6's
+sector into blocks of 236, 236, 236 and 216 states), and each block goes to
+numpy's `eigh`; scipy is imported only for the sparse eigensolver on larger
+bases.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ __all__ = [
     "exact_ground",
 ]
 
-# Bases of up to this many states are diagonalized densely (the 924-state
-# 12-qubit half-filling sector among them); larger ones, such as the full
-# 4096-state 12-qubit space, go to the iterative extremal eigensolver.
-# Inputs above 14 qubits are refused.
+# Bases of up to this many states are diagonalized densely, block by block
+# (the 924-state 12-qubit half-filling sector among them); larger ones, such
+# as the full 4096-state 12-qubit space, go to the iterative extremal
+# eigensolver. Inputs above 14 qubits are refused.
 DENSE_MAX_STATES = 1024
 ORACLE_MAX_QUBITS = 14
 
@@ -114,6 +116,56 @@ def _sector_indices(
     return np.flatnonzero(counts == n_electrons)
 
 
+def _blocks(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
+    """Block index of each basis position, blocks numbered by smallest member.
+
+    Blocks are the connected components of the listed (row, col) pairs,
+    whatever their values. Each pass lowers every row's label to its
+    columns' labels, then jumps each label to its label's label; a label
+    never leaves its block and never rises. The pairs are symmetric (a flip
+    mask maps the row back to the column), so the fixed point is constant
+    on each block and equal to its smallest member.
+    """
+    label = np.arange(size)
+    while True:
+        lowered = label.copy()
+        np.minimum.at(lowered, rows, label[cols])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            return np.searchsorted(np.flatnonzero(label == np.arange(size)), label)
+        label = lowered
+
+
+def _dense_ground(
+    rows: np.ndarray, cols: np.ndarray, entries: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lowest two eigenvalues, and the ground block's positions and eigenvector.
+
+    No entry connects two blocks, so the spectrum is the union of the
+    blocks' spectra, and a dense `eigh` per block replaces one on the whole
+    basis. Each block's matrix is filled from its own entries. The earliest
+    block with the lowest eigenvalue supplies the vector, so reruns are
+    identical, and the two lowest values are taken across blocks, so a
+    degeneracy split over two blocks is still flagged.
+    """
+    block = _blocks(rows, cols, size)
+    sizes = np.bincount(block)
+    counts = np.bincount(block[rows], minlength=sizes.size)
+    members = np.split(np.argsort(block, kind="stable"), np.cumsum(sizes)[:-1])
+    by_block = np.split(np.argsort(block[rows], kind="stable"), np.cumsum(counts)[:-1])
+    local = np.empty(size, dtype=np.intp)
+    lowest, best = [], None
+    for positions, chosen in zip(members, by_block):
+        local[positions] = np.arange(positions.size)
+        mat = np.zeros((positions.size,) * 2, dtype=entries.dtype)
+        mat[local[rows[chosen]], local[cols[chosen]]] = entries[chosen]
+        vals, vecs = np.linalg.eigh(mat)
+        lowest.append(vals[:2])
+        if best is None or vals[0] < best[0]:
+            best = (vals[0], positions, vecs[:, 0])
+    return np.sort(np.concatenate(lowest))[:2], best[1], best[2]
+
+
 def exact_ground(
     h: QubitHamiltonian,
     n_electrons: int | None = None,
@@ -146,9 +198,7 @@ def exact_ground(
     rows, cols, entries = _entries(h, basis)
     # ARPACK needs at least k + 2 = 4 states, so tinier bases go dense.
     if basis.size <= DENSE_MAX_STATES or basis.size < 4:
-        mat = np.zeros((basis.size,) * 2, dtype=entries.dtype)
-        mat[rows, cols] = entries
-        vals, vecs = np.linalg.eigh(mat)
+        vals, support, ground = _dense_ground(rows, cols, entries, basis.size)
     else:
         import scipy.sparse  # imported here: about 0.1 s that dense solves never need
         import scipy.sparse.linalg
@@ -161,10 +211,10 @@ def exact_ground(
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise ValueError(f"sparse eigensolver did not converge: {exc}") from exc
         order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        vals, support, ground = vals[order], np.arange(basis.size), vecs[:, order[0]]
     degenerate = bool(vals.size > 1 and vals[1] - vals[0] < _DEGENERACY_GAP)
 
     vector = np.zeros(dim, dtype=np.complex128)
-    vector[basis] = vecs[:, 0]
+    vector[basis[support]] = ground
     vector = vector / np.linalg.norm(vector)
     return GroundState(energy=float(vals[0]), vector=vector, degenerate=degenerate)

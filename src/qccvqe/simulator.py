@@ -123,29 +123,35 @@ def _pauli_phase_vector(x_mask, z_mask, idx) -> np.ndarray:
     return _PHASES[k & 3]
 
 
+def _pauli_action(amp: np.ndarray, n_qubits: int, p: PauliString) -> np.ndarray:
+    """P applied to a raw amplitude array on `n_qubits` qubits."""
+    if p.n_qubits != n_qubits:
+        raise ValueError(f"qubit-count mismatch: {p.n_qubits} vs {n_qubits}")
+    idx = np.arange(amp.size, dtype=np.uint64)
+    out = _pauli_phase_vector(p.x_mask, p.z_mask, idx) * amp
+    if p.x_mask:
+        flipped = np.empty_like(out)
+        flipped[idx ^ np.uint64(p.x_mask)] = out
+        out = flipped
+    return out
+
+
+def _rotation(amp: np.ndarray, n_qubits: int, p: PauliString, tau: float) -> np.ndarray:
+    """exp(-i tau P / 2) applied to a raw amplitude array."""
+    if not math.isfinite(tau):
+        raise ValueError(f"non-finite rotation angle {tau!r}")
+    rotated = _pauli_action(amp, n_qubits, p)
+    return math.cos(tau / 2.0) * amp - 1j * math.sin(tau / 2.0) * rotated
+
+
 def apply_pauli(state: Statevector, p: PauliString) -> Statevector:
     """Return P|psi> without building a matrix."""
-    if p.n_qubits != state.n_qubits:
-        raise ValueError(f"qubit-count mismatch: {p.n_qubits} vs {state.n_qubits}")
-    idx = np.arange(state.amplitudes.size, dtype=np.uint64)
-    amp = _pauli_phase_vector(p.x_mask, p.z_mask, idx) * state.amplitudes
-    if p.x_mask:
-        out = np.empty_like(amp)
-        out[idx ^ np.uint64(p.x_mask)] = amp
-        amp = out
-    return Statevector(state.n_qubits, amp)
+    return Statevector(state.n_qubits, _pauli_action(state.amplitudes, state.n_qubits, p))
 
 
 def apply_pauli_rotation(state: Statevector, p: PauliString, tau: float) -> Statevector:
     """Return exp(-i tau P / 2)|psi> = cos(tau/2)|psi> - i sin(tau/2) P|psi>."""
-    if not math.isfinite(tau):
-        raise ValueError(f"non-finite rotation angle {tau!r}")
-    rotated = apply_pauli(state, p)
-    amp = (
-        math.cos(tau / 2.0) * state.amplitudes
-        - 1j * math.sin(tau / 2.0) * rotated.amplitudes
-    )
-    return Statevector(state.n_qubits, amp)
+    return Statevector(state.n_qubits, _rotation(state.amplitudes, state.n_qubits, p, tau))
 
 
 def apply_rotation_sequence(
@@ -156,10 +162,13 @@ def apply_rotation_sequence(
     The rightmost factor acts first, so the list is traversed in reverse.
     This is the circuit-side counterpart of pauli.dress_sequence: conjugating
     the Hamiltonian by the listed generators equals preparing this state.
+    The rotations act on the raw amplitudes, and only the result is
+    validated as a Statevector.
     """
+    amp = state.amplitudes
     for p, tau in reversed(list(generators)):
-        state = apply_pauli_rotation(state, p, tau)
-    return state
+        amp = _rotation(amp, state.n_qubits, p, tau)
+    return Statevector(state.n_qubits, amp)
 
 
 def expectation(state: Statevector, h: QubitHamiltonian) -> float:

@@ -881,6 +881,26 @@ class TestMeasure:
         result = runner.invoke(main, ["measure", str(ham_path), "--circuit", str(circuit)])
         assert result.exit_code == 2, result.output
 
+    @pytest.mark.parametrize(
+        "metadata", [[], {"reference": 1100}, {"reference": "11a0"}, {"reference": "1 00"}]
+    )
+    def test_malformed_metadata_exits_parse(self, runner, fixtures_dir, tmp_path, metadata):
+        ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
+        ham = json.loads(ham_path.read_text())
+        ham["metadata"] = metadata
+        ham_path.write_text(json.dumps(ham))
+        result = runner.invoke(main, ["measure", str(ham_path)])
+        assert result.exit_code == 2, result.output
+        assert "malformed content" in result.output
+
+    @pytest.mark.parametrize("reference", ["11x0", 1100, ["1", "1", "0", "0"]])
+    def test_circuit_reference_must_be_bits(self, runner, fixtures_dir, tmp_path, reference):
+        ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
+        circuit = tmp_path / "c.json"
+        circuit.write_text(json.dumps({"reference": reference, "generators": []}))
+        result = runner.invoke(main, ["measure", str(ham_path), "--circuit", str(circuit)])
+        assert result.exit_code == 2, result.output
+
     def test_circuit_width_mismatch_exits_config(self, runner, fixtures_dir, tmp_path):
         ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
         circuit = tmp_path / "c.json"
@@ -911,30 +931,41 @@ class TestImport:
         )
         assert result.stdout.strip() == "False"
 
-    def test_sweeps_leave_scipy_out(self, fixtures_dir, tmp_path):
-        # scipy serves only the sparse eigensolver above DENSE_MAX_STATES
-        # states; importing it costs about 0.1 s.
+    @staticmethod
+    def sweep_leaves_out(module, fixtures_dir, tmp_path):
+        """Whether `qcc` and `pes --shots` on the dimer manifest never import `module`."""
         for path in fixtures_dir.glob("dimer*"):
             shutil.copy(path, tmp_path)
         src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "import sys\n"
             "from qccvqe.cli import main\n"
-            "manifest, out = sys.argv[1:]\n"
+            "module, manifest, out = sys.argv[1:]\n"
             "main(['qcc', manifest, '--output-dir', out + '/qcc'], standalone_mode=False)\n"
             "main(['pes', manifest, '--output-dir', out + '/pes', '--shots', '64'],\n"
             "     standalone_mode=False)\n"
-            "print('scipy' in sys.modules)\n"
+            "print(module in sys.modules)\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "dimer.manifest.json"), str(tmp_path)],
+            [sys.executable, "-c", code, module, str(tmp_path / "dimer.manifest.json"),
+             str(tmp_path)],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True,
             text=True,
             check=True,
         )
         assert len(list((tmp_path / "pes").glob("*.shots.json"))) == 3
-        assert result.stdout.splitlines()[-1] == "False"
+        return result.stdout.splitlines()[-1] == "False"
+
+    def test_sweeps_leave_scipy_out(self, fixtures_dir, tmp_path):
+        # scipy serves only the sparse eigensolver above DENSE_MAX_STATES
+        # states; importing it costs about 0.1 s.
+        assert self.sweep_leaves_out("scipy", fixtures_dir, tmp_path)
+
+    def test_sweeps_leave_numpy_ma_out(self, fixtures_dir, tmp_path):
+        # numpy 2.4's np.unique without a return_* flag imports numpy.ma
+        # (about 6 ms per process); the sweep path must not need it.
+        assert self.sweep_leaves_out("numpy.ma", fixtures_dir, tmp_path)
 
     def test_uccsd_optimize_leaves_scipy_out(self, fixtures_dir):
         # the UCCSD sweeps need only numpy's FFT and polynomial roots

@@ -18,6 +18,7 @@ from qccvqe import (
 )
 
 import reference
+from conftest import FIXTURES, build_problem
 
 RNG_SEED = 20240915
 
@@ -183,3 +184,90 @@ class TestSectorBasis:
         full = exact_ground(h)
         assert full.energy == pytest.approx(-3.0, abs=1e-12)
         assert not full.degenerate
+
+
+# electrons (= spatial orbitals) of each shipped fixture family, at half filling
+HALF_FILLING = {"dimer": 2, "chain4": 4, "chain6": 6}
+
+
+def sector_entries(name, mapping):
+    """FCIDUMP fixture -> (Hamiltonian, electrons, decoder, sector basis, entries)."""
+    n = HALF_FILLING[name.split("_")[0]]
+    _, h, _ = build_problem(name, n, n, mapping)
+    decoder = occupation_decoder(mapping, h.n_qubits)
+    basis = oracle._sector_indices(h.n_qubits, n, decoder)
+    return h, n, decoder, basis, oracle._entries(h, basis)
+
+
+class TestBlocks:
+    """Blockwise dense diagonalization against one eigh of the whole basis."""
+
+    def test_blocks_are_connected_components(self):
+        rng = np.random.default_rng(RNG_SEED + 4)
+        for n in range(1, 7):
+            h = reference.random_hamiltonian(rng, n, int(rng.integers(1, 2 * n + 1)))
+            size = 1 << n
+            rows, cols, _ = oracle._entries(h, np.arange(size))
+            block = oracle._blocks(rows, cols, size)
+            # union-find over the listed pairs, labels = smallest member
+            parent = list(range(size))
+
+            def root(i):
+                while parent[i] != i:
+                    i = parent[i]
+                return i
+
+            for r, c in zip(rows.tolist(), cols.tolist()):
+                a, b = sorted((root(r), root(c)))
+                parent[b] = a
+            roots = [root(i) for i in range(size)]
+            expected = np.searchsorted(sorted(set(roots)), roots)
+            assert np.array_equal(block, expected)
+
+    def test_degeneracy_inside_and_across_blocks(self):
+        # XX + YY hops an excitation between two qubits; on all three pairs
+        # the one-excitation states form one block with spectrum -1, -1, 2.
+        hops = {}
+        for pair in ("XXI", "IXX", "XIX"):
+            hops[pair] = 0.5
+            hops[pair.replace("X", "Y")] = 0.5
+        h = QubitHamiltonian.from_labels(hops)
+        decoder = occupation_decoder("jordan_wigner", 3)
+        inside = exact_ground(h, n_electrons=1, occupation_of=decoder)
+        assert inside.energy == pytest.approx(-1.0, abs=1e-12)
+        assert inside.degenerate
+        # XX pairs |00> with |11> and |01> with |10>: two blocks, each -1 and +1
+        across = exact_ground(QubitHamiltonian.from_labels({"XX": 1.0}))
+        assert across.energy == pytest.approx(-1.0, abs=1e-12)
+        assert across.degenerate
+        assert np.flatnonzero(np.abs(across.vector) > 1e-12).tolist() == [0, 3]
+
+    @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
+    def test_chain6_sector_splits(self, mapping):
+        h, n, decoder, basis, (rows, cols, vals) = sector_entries(
+            "chain6_d1.00.fcidump", mapping
+        )
+        assert basis.size == 924
+        sizes = np.bincount(oracle._blocks(rows, cols, basis.size))
+        assert sizes.size > 1 and sizes.max() < 924
+        assert sorted(sizes.tolist()) == [216, 236, 236, 236]
+
+        mat = np.zeros((basis.size,) * 2)
+        mat[rows, cols] = vals
+        whole = np.linalg.eigvalsh(mat)
+        ground = exact_ground(h, n_electrons=n, occupation_of=decoder)
+        assert ground.energy == pytest.approx(whole[0], abs=1e-12)
+        assert ground.degenerate == bool(whole[1] - whole[0] < 1e-9)
+        inside = ground.vector[basis]
+        assert np.all(np.delete(ground.vector, basis) == 0)
+        assert np.linalg.norm(mat @ inside - ground.energy * inside) < 1e-8
+
+    @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.fcidump")))
+    def test_shipped_fixtures_match_single_block(self, name, mapping):
+        h, n, decoder, basis, (rows, cols, vals) = sector_entries(name, mapping)
+        mat = np.zeros((basis.size,) * 2)
+        mat[rows, cols] = vals
+        expected = np.linalg.eigvalsh(mat)[0]
+        ground = exact_ground(h, n_electrons=n, occupation_of=decoder)
+        assert abs(ground.energy - expected) < 1e-12

@@ -114,10 +114,32 @@ class TestPauliAction:
 
     def test_rejects_mismatched_width_and_bad_angle(self):
         state = prepare_basis_state(2, 0)
+        xx = PauliString.from_label("XX")
         with pytest.raises(ValueError):
             apply_pauli(state, PauliString.from_label("X"))
         with pytest.raises(ValueError):
-            apply_pauli_rotation(state, PauliString.from_label("XX"), math.inf)
+            apply_pauli_rotation(state, xx, math.inf)
+        with pytest.raises(ValueError, match="qubit-count mismatch"):
+            apply_rotation_sequence(state, [(xx, 0.3), (PauliString.from_label("X"), 0.1)])
+        with pytest.raises(ValueError, match="non-finite rotation angle"):
+            apply_rotation_sequence(state, [(xx, math.nan), (xx, 0.1)])
+
+    def test_rotation_sequence_equals_fold_of_single_rotations(self):
+        # the sequence runs on raw amplitudes and validates only its result
+        rng = np.random.default_rng(RNG_SEED + 8)
+        for _ in range(10):
+            n = int(rng.integers(1, 6))
+            state = random_state(rng, n)
+            pairs = [
+                (PauliString.from_label(reference.random_label(rng, n)), float(tau))
+                for tau in rng.uniform(-math.pi, math.pi, int(rng.integers(0, 12)))
+            ]
+            folded = state
+            for p, tau in reversed(pairs):
+                folded = apply_pauli_rotation(folded, p, tau)
+            out = apply_rotation_sequence(state, pairs)
+            assert isinstance(out, Statevector)
+            assert np.max(np.abs(out.amplitudes - folded.amplitudes)) < 1e-12
 
 
 class TestExpectation:
