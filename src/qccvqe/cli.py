@@ -359,10 +359,12 @@ class Manifest:
     seed: int
 
 
-def _manifest_int(data: Mapping, key: str) -> int | None:
+def _manifest_int(data: Mapping, key: str, minimum: int | None = None) -> int | None:
     value = data.get(key)
     if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value is not None and minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return value
 
 
@@ -402,16 +404,17 @@ def _load_manifest(
             )
         n_active_orbitals = _manifest_int(data, "active_orbitals")
         _check_width(max(n_active_orbitals or 0, len(window or ())))
-        seed = _manifest_int(data, "seed")
+        seed = _manifest_int(data, "seed", minimum=0)
         mapping = data.get("mapping", "jordan_wigner")
         if not isinstance(mapping, str):
             raise ConfigError(f"mapping must be a string, got {mapping!r}")
         cfg_data = dict(data.get("qcc", {}))
+        # qcc.seed is the last-resort shot seed; the solver itself draws nothing.
+        qcc_seed = _manifest_int(cfg_data, "seed", minimum=0)
+        cfg_data.pop("seed", None)
         cfg_data.update((k, v) for k, v in config_overrides.items() if v is not None)
         config = QccConfig.from_mapping(cfg_data)
-        shots = _manifest_int(data, "shots")
-        if shots is not None and shots < 1:
-            raise ConfigError(f"shots must be positive, got {shots}")
+        shots = _manifest_int(data, "shots", minimum=1)
         out_dir = output_override or Path(data.get("output_dir", "qcc-out"))
         if not out_dir.is_absolute() and output_override is None:
             out_dir = path.parent / out_dir
@@ -424,7 +427,7 @@ def _load_manifest(
             output_dir=out_dir,
             config=config,
             shots=shots,
-            seed=config.seed if seed is None else seed,
+            seed=next(s for s in (seed, qcc_seed, 7) if s is not None),
         )
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         _die(EXIT_CONFIG, f"{path}: {exc}")
@@ -567,6 +570,8 @@ def pes(manifest_path, output_dir, shots, seed, **overrides):
     """Composite potential-energy-surface sweep: QCC + exact reference per point."""
     if shots is not None and shots < 1:
         _die(EXIT_CONFIG, f"shots must be positive, got {shots}")
+    if seed is not None and seed < 0:
+        _die(EXIT_CONFIG, f"seed must be non-negative, got {seed}")
     manifest = _load_manifest(manifest_path, output_dir, overrides)
     _run_manifest(
         manifest,
@@ -729,6 +734,8 @@ def measure(hamiltonian_path, circuit, shots, seed, output, per_group):
         generators = []
     if shots < 1:
         _die(EXIT_CONFIG, f"shots must be positive, got {shots}")
+    if seed < 0:
+        _die(EXIT_CONFIG, f"seed must be non-negative, got {seed}")
     widths = {len(reference)} | {p.n_qubits for p, _ in generators}
     if widths != {ham.n_qubits}:
         _die(EXIT_CONFIG, f"circuit on {sorted(widths)} qubits, Hamiltonian on {ham.n_qubits}")

@@ -1,17 +1,16 @@
-"""Exact ground-state reference via dense or sparse diagonalization.
+"""Exact ground-state reference via blockwise dense diagonalization.
 
 Provides the dense-matrix rendering of Pauli-sum Hamiltonians and the exact
 lowest eigenvalue, optionally restricted to a fixed-electron-number sector.
 Every numerical claim elsewhere in the package is checked against this
 module, so it stays deliberately simple: one builder lists the matrix
 entries of the Pauli sum on a set of basis states (the C(n, N_e) states of
-the sector, or all 2^n), and an eigensolver takes the lowest eigenvalues.
-The chain6 sector has 924 states, not a slice of the full 4096. Entries are
-real when every term has an even Y count, as in every mapped FCIDUMP. Small
-bases are split into the connected components of their entries (chain6's
-sector into blocks of 236, 236, 236 and 216 states), and each block goes to
-numpy's `eigh`; scipy is imported only for the sparse eigensolver on larger
-bases.
+the sector, or all 2^n), the basis is split into the connected components
+of those entries, and each block goes to numpy's `eigh`. The chain6 sector
+has 924 states in blocks of 236, 236, 236 and 216; its full 4096-state
+space splits into 8 blocks of 512. Entries are real when every term has an
+even Y count, as in every mapped FCIDUMP. A block above 4096 states (the
+whole 12-qubit space) is refused rather than allocated.
 """
 
 from __future__ import annotations
@@ -25,19 +24,16 @@ from .pauli import PauliString, QubitHamiltonian
 from .simulator import _pauli_phase_vector
 
 __all__ = [
-    "DENSE_MAX_STATES",
     "ORACLE_MAX_QUBITS",
     "GroundState",
     "to_dense",
     "exact_ground",
 ]
 
-# Bases of up to this many states are diagonalized densely, block by block
-# (the 924-state 12-qubit half-filling sector among them); larger ones, such
-# as the full 4096-state 12-qubit space, go to the iterative extremal
-# eigensolver. Inputs above 14 qubits are refused.
-DENSE_MAX_STATES = 1024
+# Inputs above 14 qubits are refused, and so is any block of more than 4096
+# states, whose dense matrix alone takes 128 MiB real or 256 MiB complex.
 ORACLE_MAX_QUBITS = 14
+_MAX_BLOCK_STATES = 1 << 12
 
 _DEGENERACY_GAP = 1e-9
 
@@ -150,6 +146,11 @@ def _dense_ground(
     """
     block = _blocks(rows, cols, size)
     sizes = np.bincount(block)
+    if sizes.max() > _MAX_BLOCK_STATES:
+        raise ValueError(
+            f"dense block of {sizes.max()} states is above the "
+            f"{_MAX_BLOCK_STATES}-state ceiling"
+        )
     counts = np.bincount(block[rows], minlength=sizes.size)
     members = np.split(np.argsort(block, kind="stable"), np.cumsum(sizes)[:-1])
     by_block = np.split(np.argsort(block[rows], kind="stable"), np.cumsum(counts)[:-1])
@@ -178,8 +179,10 @@ def exact_ground(
     fermion-to-qubit encoding, vectorized over index arrays) decodes them
     to the requested electron count. The returned vector is always at the
     full 2^n dimension. Degeneracy is flagged when the gap to the next
-    eigenvalue is below 1e-9. A sparse eigensolver that does not converge
-    raises ValueError.
+    eigenvalue is below 1e-9. Without `n_electrons` the whole 2^n space is
+    solved, whatever `occupation_of` is. Every basis is diagonalized block
+    by block; a block above 4096 states, or an `eigh` that does not
+    converge, raises ValueError (`LinAlgError` is one).
     """
     _check_size(h.n_qubits)
     dim = 1 << h.n_qubits
@@ -196,22 +199,7 @@ def exact_ground(
             )
 
     rows, cols, entries = _entries(h, basis)
-    # ARPACK needs at least k + 2 = 4 states, so tinier bases go dense.
-    if basis.size <= DENSE_MAX_STATES or basis.size < 4:
-        vals, support, ground = _dense_ground(rows, cols, entries, basis.size)
-    else:
-        import scipy.sparse  # imported here: about 0.1 s that dense solves never need
-        import scipy.sparse.linalg
-
-        mat = scipy.sparse.csr_matrix((entries, (rows, cols)), shape=(basis.size,) * 2)
-        try:
-            # A seeded start vector keeps reruns byte-identical.
-            start = np.random.default_rng(0).uniform(-1.0, 1.0, basis.size)
-            vals, vecs = scipy.sparse.linalg.eigsh(mat, k=2, which="SA", v0=start)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ValueError(f"sparse eigensolver did not converge: {exc}") from exc
-        order = np.argsort(vals)
-        vals, support, ground = vals[order], np.arange(basis.size), vecs[:, order[0]]
+    vals, support, ground = _dense_ground(rows, cols, entries, basis.size)
     degenerate = bool(vals.size > 1 and vals[1] - vals[0] < _DEGENERACY_GAP)
 
     vector = np.zeros(dim, dtype=np.complex128)

@@ -75,17 +75,20 @@ class QccConfig:
     max_iterations: int = 50
     energy_tolerance: float = 1e-6
     prune_threshold: float = DEFAULT_PRUNE
-    seed: int = 7  # the default shot seed of a manifest
 
     def __post_init__(self) -> None:
-        if self.generators_per_iteration < 1:
-            raise ValueError("generators_per_iteration must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.energy_tolerance <= 0:
+        for name in ("generators_per_iteration", "max_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("energy_tolerance", "prune_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.energy_tolerance == 0:
             raise ValueError("energy_tolerance must be positive")
-        if self.prune_threshold < 0:
-            raise ValueError("prune_threshold must be non-negative")
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "QccConfig":

@@ -9,8 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-import scipy.sparse.linalg
 from click.testing import CliRunner
 
 import qccvqe
@@ -36,14 +36,13 @@ def runner():
 
 
 @pytest.fixture()
-def arpack_fails(monkeypatch):
-    """Send every sector to the sparse eigensolver and make it give up."""
+def eigh_fails(monkeypatch):
+    """Make every dense block diagonalization in the oracle give up."""
 
     def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(oracle, "DENSE_MAX_STATES", 0)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(oracle.np.linalg, "eigh", no_convergence)
 
 
 def run_checked(runner, args, expect=0):
@@ -259,8 +258,8 @@ class TestFci:
         assert full["sector_restricted"] is False
         assert full["e_active"] <= restricted["e_active"] + 1e-12
 
-    def test_sparse_solver_failure_exits_numeric(
-        self, runner, fixtures_dir, arpack_fails
+    def test_eigensolver_failure_exits_numeric(
+        self, runner, fixtures_dir, eigh_fails
     ):
         result = runner.invoke(main, ["fci", str(fixtures_dir / "dimer_d1.00.fcidump")])
         assert result.exit_code == 3, result.output
@@ -403,8 +402,8 @@ class TestQcc:
         assert rows["broken"]["E_qcc_total"] == "nan"
         assert "broken" in result.stderr
 
-    def test_sparse_solver_failure_gets_error_row(
-        self, runner, fixtures_dir, tmp_path, arpack_fails
+    def test_eigensolver_failure_gets_error_row(
+        self, runner, fixtures_dir, tmp_path, eigh_fails
     ):
         manifest = tmp_path / "one.manifest.json"
         manifest.write_text(
@@ -424,7 +423,7 @@ class TestQcc:
         result = runner.invoke(main, ["qcc", str(manifest), "--output-dir", str(out_dir)])
         assert result.exit_code == 3, result.output
         (row,) = csv.DictReader((out_dir / "summary.csv").open())
-        assert row["status"].startswith("error: sparse eigensolver did not converge")
+        assert row["status"].startswith("error: Eigenvalues did not converge")
 
     def test_all_failures_exit_numeric(self, runner, tmp_path):
         bad = tmp_path / "broken.fcidump"
@@ -494,6 +493,15 @@ class TestQcc:
             {"shots": -5},
             {"seed": "11"},
             {"seed": 1.5},
+            {"seed": -1, "shots": 64},
+            {"qcc": {"seed": -1}, "shots": 64},
+            {"qcc": {"seed": 1.5}},
+            {"qcc": {"max_iterations": 2.5}},
+            {"qcc": {"generators_per_iteration": 1.5}},
+            {"qcc": {"max_iterations": True}},
+            {"qcc": {"energy_tolerance": math.nan}},
+            {"qcc": {"prune_threshold": math.inf}},
+            {"qcc": {"prune_threshold": "0"}},
             {"active_electrons": "2"},
             {"active_orbitals": 2.0},
             {"orbital_window": "0,1"},
@@ -510,6 +518,7 @@ class TestQcc:
             )
             result = runner.invoke(main, ["pes", str(path)])
             assert result.exit_code == 4, (extra, result.output)
+            assert not (tmp_path / "qcc-out").exists()
 
 
 class TestPes:
@@ -625,7 +634,14 @@ class TestPes:
                 }
             )
         )
-        for args, seed in (([], 5), (["--seed", "21"], 21)):
+        data = json.loads(manifest.read_text())
+        for args, drop, seed in (
+            (["--seed", "21"], (), 21),
+            ([], (), 5),
+            ([], ("seed",), 6),
+            ([], ("seed", "qcc"), 7),
+        ):
+            manifest.write_text(json.dumps({k: v for k, v in data.items() if k not in drop}))
             out_dir = tmp_path / f"seed{seed}"
             run_checked(
                 runner, ["pes", str(manifest), "--output-dir", str(out_dir), *args]
@@ -638,6 +654,11 @@ class TestPes:
         out_dir = str(tmp_path / "out")
         result = runner.invoke(
             main, ["pes", manifest, "--output-dir", out_dir, "--shots", "-5"]
+        )
+        assert result.exit_code == 4, result.output
+        assert not (tmp_path / "out").exists()
+        result = runner.invoke(
+            main, ["pes", manifest, "--output-dir", out_dir, "--seed", "-3"]
         )
         assert result.exit_code == 4, result.output
         assert not (tmp_path / "out").exists()
@@ -831,6 +852,9 @@ class TestMeasure:
             ).exit_code
             == 4
         )
+        result = runner.invoke(main, ["measure", str(ham_path), "--seed", "-1"])
+        assert result.exit_code == 4, result.output
+        assert "seed must be non-negative" in result.stderr
         stripped = json.loads(ham_path.read_text())
         del stripped["metadata"]
         bare = tmp_path / "bare.json"
@@ -958,9 +982,28 @@ class TestImport:
         return result.stdout.splitlines()[-1] == "False"
 
     def test_sweeps_leave_scipy_out(self, fixtures_dir, tmp_path):
-        # scipy serves only the sparse eigensolver above DENSE_MAX_STATES
-        # states; importing it costs about 0.1 s.
+        # scipy is no runtime dependency; importing it costs about 0.1 s.
         assert self.sweep_leaves_out("scipy", fixtures_dir, tmp_path)
+
+    def test_full_spectrum_leaves_scipy_out(self, fixtures_dir):
+        # the whole 4096-state chain6 space is diagonalized block by block
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "from qccvqe.cli import main\n"
+            "main(['fci', sys.argv[1], '--full-spectrum'], standalone_mode=False)\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(fixtures_dir / "chain6_d1.00.fcidump")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        payload = json.loads("".join(result.stdout.splitlines()[:-1]))
+        assert payload["n_qubits"] == 12 and payload["sector_restricted"] is False
+        assert result.stdout.splitlines()[-1] == "False"
 
     def test_sweeps_leave_numpy_ma_out(self, fixtures_dir, tmp_path):
         # numpy 2.4's np.unique without a return_* flag imports numpy.ma

@@ -100,23 +100,33 @@ class TestExactGround:
                 h, n_electrons=5, occupation_of=occupation_decoder("jw", 2)
             )
 
-    def test_sparse_path_on_product_hamiltonian(self):
-        # 13 qubits forces the iterative path; sum of (Z + 0.3 X) factorizes,
-        # so the exact ground energy is -13 sqrt(1.09)
-        n = 13
+    @staticmethod
+    def product_hamiltonian(n):
+        """Sum of (Z + 0.3 X) on every qubit: exact ground -n sqrt(1.09), and
+        one block spanning all 2^n states."""
         terms = {}
         for q in range(n):
             terms[PauliString(n, 0, 1 << q)] = 1.0
             terms[PauliString(n, 1 << q, 0)] = 0.3
-        h = QubitHamiltonian(n, terms)
+        return QubitHamiltonian(n, terms)
+
+    def test_product_hamiltonian_in_one_block(self):
+        n = 10
+        h = self.product_hamiltonian(n)
         ground = exact_ground(h)
-        assert ground.energy == pytest.approx(-n * math.sqrt(1.09), abs=1e-8)
+        assert ground.energy == pytest.approx(-n * math.sqrt(1.09), abs=1e-10)
         assert not ground.degenerate
         state = Statevector(n, ground.vector)
         acc = np.zeros_like(ground.vector)
         for p, c in h.items():
             acc = acc + c * apply_pauli(state, p).amplitudes
-        assert np.linalg.norm(acc - ground.energy * ground.vector) < 1e-7
+        assert np.linalg.norm(acc - ground.energy * ground.vector) < 1e-8
+
+    def test_refuses_oversized_block(self):
+        # 13 qubits are within the oracle's width, but the single block of
+        # 8192 states is above the 4096-state dense ceiling
+        with pytest.raises(ValueError, match="8192"):
+            exact_ground(self.product_hamiltonian(13))
 
     def test_refuses_oversized_input(self):
         h = QubitHamiltonian(15, {PauliString.identity(15): 1.0})
@@ -127,16 +137,12 @@ class TestExactGround:
 class TestSectorBasis:
     """The matrix built on the sector basis is the sector block of the full one."""
 
-    @pytest.mark.parametrize("dense_max", [oracle.DENSE_MAX_STATES, 0])
     @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
-    def test_matches_sliced_reference(self, mapping, dense_max, monkeypatch):
-        monkeypatch.setattr(oracle, "DENSE_MAX_STATES", dense_max)
+    def test_matches_sliced_reference(self, mapping):
         self.check_random_sums(mapping, even_y=False)
 
-    @pytest.mark.parametrize("dense_max", [oracle.DENSE_MAX_STATES, 0])
     @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
-    def test_real_sums_match_sliced_reference(self, mapping, dense_max, monkeypatch):
-        monkeypatch.setattr(oracle, "DENSE_MAX_STATES", dense_max)
+    def test_real_sums_match_sliced_reference(self, mapping):
         self.check_random_sums(mapping, even_y=True)
 
     @staticmethod
@@ -261,6 +267,18 @@ class TestBlocks:
         inside = ground.vector[basis]
         assert np.all(np.delete(ground.vector, basis) == 0)
         assert np.linalg.norm(mat @ inside - ground.energy * inside) < 1e-8
+
+    @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
+    def test_chain6_full_space_is_lowest_sector(self, mapping):
+        # The number-conserving sum never links sectors, so the 4096-state
+        # ground is the lowest of the 13 sector grounds.
+        h, _, decoder, _, _ = sector_entries("chain6_d1.00.fcidump", mapping)
+        full = exact_ground(h)
+        sectors = [
+            exact_ground(h, n_electrons=n_e, occupation_of=decoder).energy
+            for n_e in range(h.n_qubits + 1)
+        ]
+        assert abs(full.energy - min(sectors)) < 1e-10
 
     @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.fcidump")))

@@ -330,12 +330,26 @@ class TestConfig:
             QccConfig(max_iterations=0)
         with pytest.raises(ValueError):
             QccConfig(energy_tolerance=0.0)
+        # counts must be integers, and the tolerance and prune finite numbers
+        for bad in (
+            {"max_iterations": 2.5},
+            {"generators_per_iteration": 1.5},
+            {"max_iterations": True},
+            {"energy_tolerance": math.nan},
+            {"energy_tolerance": math.inf},
+            {"prune_threshold": math.inf},
+            {"prune_threshold": math.nan},
+            {"prune_threshold": "0"},
+        ):
+            with pytest.raises(ValueError):
+                QccConfig(**bad)
 
     def test_from_mapping_rejects_unknown_keys(self):
-        cfg = QccConfig.from_mapping({"max_iterations": 7, "seed": 3})
-        assert cfg.max_iterations == 7 and cfg.seed == 3
-        # grid_points: a removed amplitude-search setting
-        for unknown in ({"max_iter": 7}, {"grid_points": 48}):
+        cfg = QccConfig.from_mapping({"max_iterations": 7})
+        assert cfg.max_iterations == 7
+        # grid_points: a removed amplitude-search setting; seed: the shot
+        # seed, which the manifest reads itself
+        for unknown in ({"max_iter": 7}, {"grid_points": 48}, {"seed": 3}):
             with pytest.raises(ValueError):
                 QccConfig.from_mapping(unknown)
 
