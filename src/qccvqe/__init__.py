@@ -56,6 +56,7 @@ from .solver import (
     CandidateGenerator,
     ExtrapolationError,
     ExtrapolationResult,
+    FitRequestError,
     IterationRecord,
     QccConfig,
     QccTrace,

@@ -9,6 +9,7 @@ same inputs and seeds produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -385,6 +386,8 @@ def _load_manifest(
         seen = set()
         for item in raw_entries:
             label = str(item["label"])
+            if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
+                raise ConfigError(f"geometry label {label!r} is not a plain file name")
             if label in seen:
                 raise ConfigError(f"duplicate geometry label {label!r}")
             seen.add(label)
@@ -505,15 +508,28 @@ def _error_row(label: str, message: str) -> dict[str, str]:
     return row | {"status": f"error: {message}"}
 
 
-def _merge_summary(path: Path, rows: list[dict[str, str]]) -> None:
-    """Rewrite the summary CSV, replacing rows whose geometry reappears."""
+def _read_summary(path: Path) -> dict[str, dict[str, str]]:
+    """Rows of an existing summary CSV by geometry; exits 2 or 4 if unusable."""
     existing: dict[str, dict[str, str]] = {}
-    if path.exists():
-        with path.open(newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                existing[row["geometry"]] = {
-                    key: row.get(key, "") for key in _SUMMARY_COLUMNS
-                }
+    if not path.exists():
+        return existing
+    reader = csv.DictReader(io.StringIO(_read_text(path)))
+    try:
+        if reader.fieldnames is not None and "geometry" not in reader.fieldnames:
+            raise csv.Error(f"no geometry column in {reader.fieldnames}")
+        for row in reader:
+            if row["geometry"] is None:
+                raise csv.Error(f"row without a geometry: {row}")
+            existing[row["geometry"]] = {key: row.get(key, "") for key in _SUMMARY_COLUMNS}
+    except csv.Error as exc:
+        _die(EXIT_PARSE, f"{path}: malformed summary: {exc}")
+    return existing
+
+
+def _merge_summary(
+    path: Path, existing: dict[str, dict[str, str]], rows: list[dict[str, str]]
+) -> None:
+    """Rewrite the summary CSV, replacing rows whose geometry reappears."""
     for row in rows:
         existing[row["geometry"]] = row
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -529,12 +545,14 @@ def _run_manifest(
 ) -> None:
     """Run every geometry in label order, then write the summary CSV.
 
+    An existing summary that cannot be merged into exits before any solve.
     Exits 3 (numeric) once the summary is written if every geometry failed.
     """
     out_dir = manifest.output_dir
+    existing = _read_summary(out_dir / summary_name)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [_run_geometry(entry, manifest, shots, seed) for entry in manifest.entries]
-    _merge_summary(out_dir / summary_name, rows)
+    _merge_summary(out_dir / summary_name, existing, rows)
     click.echo(f"summary -> {out_dir / summary_name}")
     if all(row["status"] != "ok" for row in rows):
         _die(EXIT_NUMERIC, "every geometry failed")
@@ -603,6 +621,8 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
         result = solver.extrapolate(
             trace, discard=discard, window=window, thresholds=thresholds
         )
+    except solver.FitRequestError as exc:
+        _die(EXIT_CONFIG, str(exc))
     except solver.ExtrapolationError as exc:
         _die(EXIT_NUMERIC, str(exc))
     payload = {
@@ -677,22 +697,21 @@ def _measure_state(
     state = simulator.apply_rotation_sequence(state, generators)
     grouping = simulator.group_qwc(ham)
     estimate = simulator.sample_energy(state, grouping, shots, seed)
+    # independent of the sampled distributions, so a wrong basis change shows
     exact = simulator.expectation(state, ham)
-    errors = simulator.per_group_error(estimate, state, grouping)
-    groups = []
-    for (gid, sampled, group_shots), (gid2, diff), group in zip(
-        estimate.per_group, errors, grouping.groups
-    ):
-        groups.append(
-            {
-                "id": gid,
-                "basis": group.shared_basis,
-                "estimate": sampled,
-                "exact": sampled + diff,
-                "difference": diff,
-                "shots": group_shots,
-            }
+    groups = [
+        {
+            "id": gid,
+            "basis": group.shared_basis,
+            "estimate": sampled,
+            "exact": group_exact,
+            "difference": group_exact - sampled,
+            "shots": group_shots,
+        }
+        for (gid, sampled, group_shots), group_exact, group in zip(
+            estimate.per_group, estimate.group_exact, grouping.groups
         )
+    ]
     return {
         "schema": "shot-estimate/1",
         "energy": estimate.energy,

@@ -250,11 +250,14 @@ class ShotEstimate:
     """Monte-Carlo energy estimate from finite measurement shots.
 
     per_group holds (group index, estimate, shots); energy is the sum of
-    the per-group estimates plus the identity-term constant.
+    the per-group estimates plus the identity-term constant. group_exact
+    holds each group's exact expectation, in per_group order, read off the
+    same outcome distribution the group's shots were drawn from.
     """
 
     energy: float
     per_group: tuple[tuple[int, float, int], ...]
+    group_exact: tuple[float, ...]
     seed: int
     shots: int
     constant: float
@@ -315,6 +318,7 @@ def sample_energy(
     one multinomial draw (outcome-count equivalent of shot-by-shot
     sampling). Deterministic for a fixed seed. The quoted std_error
     combines the per-group sample variances of the mean as independent.
+    Each group's exact value is that distribution's mean outcome value.
     """
     if grouping.n_qubits != state.n_qubits:
         raise ValueError(
@@ -326,6 +330,7 @@ def sample_energy(
     energy = grouping.constant
     variance_of_mean = 0.0
     per_group: list[tuple[int, float, int]] = []
+    group_exact: list[float] = []
     for gid, group in enumerate(grouping.groups):
         amp = _rotate_to_group_basis(state, group)
         probs = np.abs(amp) ** 2
@@ -337,9 +342,11 @@ def sample_energy(
         variance_of_mean += max(second - mean * mean, 0.0) / shots
         energy += mean
         per_group.append((gid, mean, shots))
+        group_exact.append(float(np.dot(probs, values)))
     return ShotEstimate(
         energy=energy,
         per_group=tuple(per_group),
+        group_exact=tuple(group_exact),
         seed=seed,
         shots=shots,
         constant=grouping.constant,
@@ -347,20 +354,9 @@ def sample_energy(
     )
 
 
-def per_group_error(
-    estimate: ShotEstimate,
-    state: Statevector,
-    grouping: QwcGrouping,
-) -> list[tuple[int, float]]:
-    """Exact group expectation minus sampled estimate, one entry per group."""
-    if len(estimate.per_group) != len(grouping.groups):
-        raise ValueError(
-            f"grouping mismatch: estimate has {len(estimate.per_group)} groups, "
-            f"grouping has {len(grouping.groups)}"
-        )
-    errors: list[tuple[int, float]] = []
-    for (gid, sampled, _), group in zip(estimate.per_group, grouping.groups):
-        members = QubitHamiltonian(state.n_qubits, group.members, prune=0.0)
-        exact = expectation(state, members)
-        errors.append((gid, exact - sampled))
-    return errors
+def per_group_error(estimate: ShotEstimate) -> list[tuple[int, float]]:
+    """(group index, group_exact minus sampled estimate), one entry per group."""
+    return [
+        (gid, exact - sampled)
+        for (gid, sampled, _), exact in zip(estimate.per_group, estimate.group_exact)
+    ]

@@ -47,6 +47,7 @@ __all__ = [
     "QccTrace",
     "ExtrapolationResult",
     "ExtrapolationError",
+    "FitRequestError",
     "flip_representative",
     "screen_generators",
     "optimize_amplitudes",
@@ -436,6 +437,10 @@ class ExtrapolationError(ValueError):
         super().__init__(message)
 
 
+class FitRequestError(ExtrapolationError):
+    """Raised when discard, window or a threshold is out of range."""
+
+
 @dataclass(frozen=True)
 class ExtrapolationResult:
     """Log-linear fit of energy differences and the implied converged energy."""
@@ -464,11 +469,11 @@ def extrapolate(
     """
     energies = trace.energies if isinstance(trace, QccTrace) else list(trace)
     if window < 3:
-        raise ExtrapolationError(f"window must cover at least 3 iterations, got {window}")
+        raise FitRequestError(f"window must cover at least 3 iterations, got {window}")
     if discard < 0:
-        raise ExtrapolationError(f"discard must be non-negative, got {discard}")
+        raise FitRequestError(f"discard must be non-negative, got {discard}")
     if not all(t > 0.0 and math.isfinite(t) for t in thresholds):
-        raise ExtrapolationError(f"thresholds must be positive and finite: {thresholds}")
+        raise FitRequestError(f"thresholds must be positive and finite: {thresholds}")
     needed = discard + window
     have = len(energies) - 1
     if have < needed:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through click's test runner."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import qccvqe
-from qccvqe import cli, oracle
+from qccvqe import cli, oracle, simulator, solver
 from qccvqe.cli import main
 
 
@@ -372,6 +373,32 @@ class TestQcc:
         rows = list(csv.DictReader((out_dir / "summary.csv").open()))
         assert [r["geometry"] for r in rows] == ["0.80", "1.00", "1.20"]
 
+    @pytest.mark.parametrize(
+        "defect, code",
+        [("no geometry column", 2), ("not UTF-8", 2), ("a directory", 4)],
+    )
+    def test_unusable_summary_exits_before_any_solve(
+        self, runner, fixtures_dir, tmp_path, defect, code
+    ):
+        out_dir = tmp_path / "out"
+        summary = out_dir / "summary.csv"
+        out_dir.mkdir()
+        if defect == "no geometry column":
+            summary.write_text("label,E_qcc_total\n1.00,-0.2360679775\n")
+        elif defect == "not UTF-8":
+            summary.write_bytes(b"geometry,status\n\xe9,ok\n")
+        else:
+            summary.mkdir()
+        before = summary.is_file() and summary.read_bytes()
+        result = runner.invoke(
+            main,
+            ["qcc", str(fixtures_dir / "dimer.manifest.json"), "--output-dir", str(out_dir)],
+        )
+        assert result.exit_code == code, result.output
+        assert "summary.csv" in result.output
+        assert (summary.is_file() and summary.read_bytes()) == before
+        assert sorted(p.name for p in out_dir.iterdir()) == ["summary.csv"]
+
     def test_failed_geometry_gets_error_row(self, runner, fixtures_dir, tmp_path):
         bad = tmp_path / "broken.fcidump"
         bad.write_text("&FCI NORB=2 &END\n")
@@ -519,6 +546,20 @@ class TestQcc:
             result = runner.invoke(main, ["pes", str(path)])
             assert result.exit_code == 4, (extra, result.output)
             assert not (tmp_path / "qcc-out").exists()
+
+        # a label names the output files, so it must stay inside the directory
+        for label in ("", ".", "..", "../escape", "a/b", "a\\b", "a\0b"):
+            path = tmp_path / "label.manifest.json"
+            path.write_text(
+                json.dumps(
+                    {"schema": "qcc-manifest/1", "geometries": [{**entry, "label": label}]}
+                )
+            )
+            result = runner.invoke(main, ["pes", str(path), "--shots", "64"])
+            assert result.exit_code == 4, (label, result.output)
+            assert "not a plain file name" in result.output
+            assert not (tmp_path / "qcc-out").exists()
+        assert not list(tmp_path.rglob("*.trace.json"))
 
 
 class TestPes:
@@ -759,13 +800,31 @@ class TestExtrapolateCommand:
         result = runner.invoke(main, ["extrapolate", str(path)])
         assert result.exit_code == 2, result.output
 
-    @pytest.mark.parametrize("threshold", ["0", "-1e-3", "nan", "inf"])
-    def test_bad_threshold_exits_numeric(self, runner, tmp_path, threshold):
+    def test_flat_trace_exits_numeric(self, runner, tmp_path):
+        energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
+        energies[20] = energies[19]
+        path = self.make_trace(tmp_path, energies)
+        result = runner.invoke(main, ["extrapolate", str(path)])
+        assert result.exit_code == 3, result.output
+        assert "strictly positive" in result.output
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("discard", "-1"),
+            ("window", "2"),
+            ("threshold", "0"),
+            ("threshold", "-1e-3"),
+            ("threshold", "nan"),
+            ("threshold", "inf"),
+        ],
+    )
+    def test_refused_request_exits_config(self, runner, tmp_path, flag, value):
         energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
         path = self.make_trace(tmp_path, energies)
-        result = runner.invoke(main, ["extrapolate", str(path), "--threshold", threshold])
-        assert result.exit_code == 3, result.output
-        assert "thresholds must be positive and finite" in result.output
+        result = runner.invoke(main, ["extrapolate", str(path), f"--{flag}", value])
+        assert result.exit_code == 4, result.output
+        assert f"error: {flag}" in result.output
 
 
 class TestMeasure:
@@ -933,6 +992,42 @@ class TestMeasure:
         )
         result = runner.invoke(main, ["measure", str(ham_path), "--circuit", str(circuit)])
         assert result.exit_code == 4, result.output
+
+
+class TestTracedNames:
+    def test_bench_spans_resolve(self):
+        # perfbench/spans.py wraps these functions by name under --trace 1
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        names = [(module, attr) for module, attr, *_ in spans.TRACED]
+        names += [("cli", "_run_geometry"), ("cli", "_build_problem")]
+        missing = [
+            f"{module}.{attr}"
+            for module, attr in names
+            if not callable(getattr(importlib.import_module(f"qccvqe.{module}"), attr, None))
+        ]
+        assert missing == []
+
+    def test_shot_pass_takes_one_expectation_per_geometry(
+        self, runner, fixtures_dir, tmp_path, monkeypatch
+    ):
+        calls = []
+        for module in (simulator, solver):
+            def counting(state, h, inner=module.expectation):
+                calls.append(h.n_qubits)
+                return inner(state, h)
+
+            monkeypatch.setattr(module, "expectation", counting)
+        out_dir = tmp_path / "pes"
+        run_checked(
+            runner,
+            ["pes", str(fixtures_dir / "dimer.manifest.json"),
+             "--output-dir", str(out_dir), "--shots", "64"],
+        )
+        assert len(list(out_dir.glob("*.shots.json"))) == 3
+        assert calls == [4, 4, 4]
 
 
 class TestVersion:

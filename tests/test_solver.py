@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qccvqe import (
     ExtrapolationError,
+    FitRequestError,
     PauliString,
     QccConfig,
     QccTrace,
@@ -400,12 +401,15 @@ class TestExtrapolate:
 
     def test_rejects_bad_window_settings(self):
         energies = geometric_energies(-1.0, -0.1, 0.0, 20)
-        with pytest.raises(ExtrapolationError, match="needs"):
+        with pytest.raises(ExtrapolationError, match="needs") as err:
             extrapolate(energies)
-        with pytest.raises(ExtrapolationError):
+        assert not isinstance(err.value, FitRequestError)
+        with pytest.raises(FitRequestError):
             extrapolate(energies, window=2)
-        with pytest.raises(ExtrapolationError):
+        with pytest.raises(FitRequestError):
             extrapolate(energies, discard=-1)
+        with pytest.raises(FitRequestError):
+            extrapolate(energies, thresholds=(1e-3, 0.0))
 
 
 def uccsd_setup(load_problem, name, n_electrons, mapping):
