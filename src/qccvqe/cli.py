@@ -64,21 +64,28 @@ def _parse(path: Path, build, data: dict):
         _die(EXIT_PARSE, f"{path}: malformed content: {exc!r}")
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        _die(EXIT_CONFIG, f"cannot write {path}: {exc}")
+
+
 def _write_json(path: Path | None, payload: dict) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if path is None:
         click.echo(text, nl=False)
     else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        _write_text(path, text)
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, buffer.getvalue())
 
 
 def _fmt(value: float) -> str:
@@ -532,12 +539,11 @@ def _merge_summary(
     """Rewrite the summary CSV, replacing rows whose geometry reappears."""
     for row in rows:
         existing[row["geometry"]] = row
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_COLUMNS)
-        writer.writeheader()
-        for label in sorted(existing):
-            writer.writerow(existing[label])
+    _write_csv(
+        path,
+        _SUMMARY_COLUMNS,
+        ([existing[label][key] for key in _SUMMARY_COLUMNS] for label in sorted(existing)),
+    )
 
 
 def _run_manifest(
@@ -545,12 +551,16 @@ def _run_manifest(
 ) -> None:
     """Run every geometry in label order, then write the summary CSV.
 
-    An existing summary that cannot be merged into exits before any solve.
+    An existing summary that cannot be merged into, or an output directory
+    that cannot be made, exits before any solve.
     Exits 3 (numeric) once the summary is written if every geometry failed.
     """
     out_dir = manifest.output_dir
     existing = _read_summary(out_dir / summary_name)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _die(EXIT_CONFIG, f"cannot create output directory {out_dir}: {exc}")
     rows = [_run_geometry(entry, manifest, shots, seed) for entry in manifest.entries]
     _merge_summary(out_dir / summary_name, existing, rows)
     click.echo(f"summary -> {out_dir / summary_name}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -123,11 +124,19 @@ def _pauli_phase_vector(x_mask, z_mask, idx) -> np.ndarray:
     return _PHASES[k & 3]
 
 
+@cache
+def _indices(n_qubits: int) -> np.ndarray:
+    """Read-only uint64 basis indices 0 .. 2^n - 1, built once per width."""
+    idx = np.arange(1 << n_qubits, dtype=np.uint64)
+    idx.flags.writeable = False
+    return idx
+
+
 def _pauli_action(amp: np.ndarray, n_qubits: int, p: PauliString) -> np.ndarray:
     """P applied to a raw amplitude array on `n_qubits` qubits."""
     if p.n_qubits != n_qubits:
         raise ValueError(f"qubit-count mismatch: {p.n_qubits} vs {n_qubits}")
-    idx = np.arange(amp.size, dtype=np.uint64)
+    idx = _indices(n_qubits)
     out = _pauli_phase_vector(p.x_mask, p.z_mask, idx) * amp
     if p.x_mask:
         flipped = np.empty_like(out)
@@ -177,7 +186,7 @@ def expectation(state: Statevector, h: QubitHamiltonian) -> float:
         raise ValueError(f"qubit-count mismatch: {h.n_qubits} vs {state.n_qubits}")
     amp = state.amplitudes
     conj = amp.conj()
-    idx = np.arange(amp.size, dtype=np.uint64)
+    idx = _indices(state.n_qubits)
     total = 0.0 + 0.0j
     for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeff.tolist()):
         vec = _pauli_phase_vector(x, z, idx) * amp
@@ -214,11 +223,6 @@ class QwcGrouping:
     groups: tuple[MeasurementGroup, ...]
 
 
-def _qwc_conflict(tx: int, tz: int, gx: int, gz: int) -> bool:
-    """True iff (tx, tz) disagrees with the group basis on a shared qubit."""
-    return bool(((tx ^ gx) | (tz ^ gz)) & (tx | tz) & (gx | gz))
-
-
 def group_qwc(h: QubitHamiltonian) -> QwcGrouping:
     """Greedy first-fit partition into qubit-wise commuting groups.
 
@@ -227,20 +231,21 @@ def group_qwc(h: QubitHamiltonian) -> QwcGrouping:
     order makes the partition deterministic.
     """
     constant = 0.0
-    open_groups: list[tuple[int, int, list[tuple[PauliString, float]]]] = []
-    for p, c in h.items():
-        if p.is_identity:
+    open_groups: list[tuple[int, int, int, list[tuple[PauliString, float]]]] = []
+    for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeff.tolist()):
+        support = x | z
+        if not support:
             constant += c
             continue
-        for i, (gx, gz, members) in enumerate(open_groups):
-            if not _qwc_conflict(p.x_mask, p.z_mask, gx, gz):
-                members.append((p, c))
-                open_groups[i] = (gx | p.x_mask, gz | p.z_mask, members)
+        for i, (gx, gz, gs, members) in enumerate(open_groups):
+            if not ((x ^ gx) | (z ^ gz)) & support & gs:
+                members.append((PauliString(h.n_qubits, x, z), c))
+                open_groups[i] = (gx | x, gz | z, gs | support, members)
                 break
         else:
-            open_groups.append((p.x_mask, p.z_mask, [(p, c)]))
+            open_groups.append((x, z, support, [(PauliString(h.n_qubits, x, z), c)]))
     groups = tuple(
-        MeasurementGroup(gx, gz, tuple(members)) for gx, gz, members in open_groups
+        MeasurementGroup(gx, gz, tuple(members)) for gx, gz, _, members in open_groups
     )
     return QwcGrouping(h.n_qubits, constant, groups)
 
@@ -265,29 +270,32 @@ class ShotEstimate:
     rng: str = "numpy-pcg64-multinomial"
 
 
-# Single-qubit basis changes: H maps X -> Z; H.Sdg maps Y -> Z.
-_H_GATE = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
-_HSDG_GATE = np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / math.sqrt(2.0)
+# Basis changes H (X -> Z) and H.Sdg (Y -> Z): [[1, c], [1, -c]] / sqrt(2), c = 1, -i.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _apply_single_qubit(state: np.ndarray, gate: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a 2x2 gate to one qubit of a dense vector."""
-    n = state.size
-    reshaped = state.reshape(n >> (qubit + 1), 2, 1 << qubit)
-    out = np.einsum("ab,ibj->iaj", gate, reshaped)
-    return np.ascontiguousarray(out).reshape(n)
+def _basis_change(amp: np.ndarray, qubit: int, y_letter: bool) -> None:
+    """H, or H.Sdg for a Y letter, on one qubit, in place: with t = amp / sqrt(2),
+    each pair becomes (t0 + c t1, t0 - c t1). These are the real products and
+    sums of the complex 2x2 matrix product, so the amplitudes equal its own (up
+    to the sign of an exact zero) and every outcome probability keeps its bits."""
+    parts = amp.view(np.float64)  # real and imaginary parts, interleaved
+    parts *= _INV_SQRT2
+    pairs = amp.reshape(-1, 2, 1 << qubit)
+    low, high = pairs[:, 0], pairs[:, 1]
+    if y_letter:
+        high *= -1j
+    diff = low - high
+    low += high
+    high[...] = diff
 
 
 def _rotate_to_group_basis(state: Statevector, group: MeasurementGroup) -> np.ndarray:
     """Rotate so every member becomes diagonal (Z/I only) in the new frame."""
     amp = state.amplitudes.copy()
     for qubit in range(state.n_qubits):
-        xb = (group.basis_x >> qubit) & 1
-        zb = (group.basis_z >> qubit) & 1
-        if xb and zb:
-            amp = _apply_single_qubit(amp, _HSDG_GATE, qubit)
-        elif xb:
-            amp = _apply_single_qubit(amp, _H_GATE, qubit)
+        if (group.basis_x >> qubit) & 1:
+            _basis_change(amp, qubit, bool((group.basis_z >> qubit) & 1))
     return amp
 
 
@@ -297,7 +305,7 @@ def _group_values(group: MeasurementGroup, n_qubits: int) -> np.ndarray:
     After the basis change every member is diagonal with eigenvalue
     (-1)^{|bits & support|} on outcome `bits`.
     """
-    idx = np.arange(1 << n_qubits, dtype=np.uint64)
+    idx = _indices(n_qubits)
     values = np.zeros(idx.size, dtype=np.float64)
     for p, c in group.members:
         parity = np.bitwise_count(idx & np.uint64(p.support)).astype(np.int64) & 1

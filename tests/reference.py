@@ -7,7 +7,12 @@ ladder-operator action on occupation bitstrings. Agreement between these
 routes and the package is what the tests assert. The exceptions are
 `dress_terms` and `map_products`, the term-by-term loops over the package's
 scalar `commutes` and `multiply` that the array `dress` and the array
-fermion-to-qubit map must match bit for bit.
+fermion-to-qubit map must match bit for bit, and the shot pass's earlier
+kernels: the `einsum` basis-change gate, the first-fit grouping over
+`PauliString` objects, and `sample_energy` built from those two. The
+package's elementwise basis change must give equal amplitudes, its
+mask-level grouping the same partition, and its shot pass an equal
+`ShotEstimate` for the same seed.
 """
 
 from __future__ import annotations
@@ -231,3 +236,89 @@ def generator_paulis(exc, n_spin_orbitals: int, mapping: str) -> list:
         assert all(abs(c.real) <= 1e-10 for _, c in weights)
         out.append([(p, c.imag) for p, c in weights if abs(c.imag) > 1e-12])
     return out
+
+
+def apply_single_qubit(state: np.ndarray, gate: np.ndarray, qubit: int) -> np.ndarray:
+    """A 2x2 gate on one qubit of a dense vector, contracted by `np.einsum`."""
+    n = state.size
+    reshaped = state.reshape(n >> (qubit + 1), 2, 1 << qubit)
+    out = np.einsum("ab,ibj->iaj", gate, reshaped)
+    return np.ascontiguousarray(out).reshape(n)
+
+
+# Single-qubit basis changes: H maps X -> Z; H.Sdg maps Y -> Z.
+H_GATE = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
+HSDG_GATE = np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / math.sqrt(2.0)
+
+
+def rotate_to_group_basis(state, basis_x: int, basis_z: int) -> np.ndarray:
+    """Rotate a Statevector so a group with this shared basis is diagonal."""
+    amp = state.amplitudes.copy()
+    for qubit in range(state.n_qubits):
+        xb = (basis_x >> qubit) & 1
+        zb = (basis_z >> qubit) & 1
+        if xb and zb:
+            amp = apply_single_qubit(amp, HSDG_GATE, qubit)
+        elif xb:
+            amp = apply_single_qubit(amp, H_GATE, qubit)
+    return amp
+
+
+def qwc_conflict(tx: int, tz: int, gx: int, gz: int) -> bool:
+    """True iff (tx, tz) disagrees with the group basis on a shared qubit."""
+    return bool(((tx ^ gx) | (tz ^ gz)) & (tx | tz) & (gx | gz))
+
+
+def group_qwc(h):
+    """First-fit QWC partition over `PauliString` objects in canonical order."""
+    from qccvqe.simulator import MeasurementGroup, QwcGrouping
+
+    constant = 0.0
+    open_groups: list = []
+    for p, c in h.items():
+        if p.is_identity:
+            constant += c
+            continue
+        for i, (gx, gz, members) in enumerate(open_groups):
+            if not qwc_conflict(p.x_mask, p.z_mask, gx, gz):
+                members.append((p, c))
+                open_groups[i] = (gx | p.x_mask, gz | p.z_mask, members)
+                break
+        else:
+            open_groups.append((p.x_mask, p.z_mask, [(p, c)]))
+    groups = tuple(
+        MeasurementGroup(gx, gz, tuple(members)) for gx, gz, members in open_groups
+    )
+    return QwcGrouping(h.n_qubits, constant, groups)
+
+
+def sample_energy(state, grouping, shots: int, seed: int):
+    """The shot pass on `rotate_to_group_basis`: one multinomial per group, in order."""
+    from qccvqe.simulator import ShotEstimate, _group_values
+
+    rng = np.random.default_rng(seed)
+    energy = grouping.constant
+    variance_of_mean = 0.0
+    per_group = []
+    group_exact = []
+    for gid, group in enumerate(grouping.groups):
+        amp = rotate_to_group_basis(state, group.basis_x, group.basis_z)
+        probs = np.abs(amp) ** 2
+        probs = probs / probs.sum()
+        counts = rng.multinomial(shots, probs)
+        values = _group_values(group, state.n_qubits)
+        mean = float(np.dot(counts, values)) / shots
+        second = float(np.dot(counts, values**2)) / shots
+        variance_of_mean += max(second - mean * mean, 0.0) / shots
+        energy += mean
+        per_group.append((gid, mean, shots))
+        group_exact.append(float(np.dot(probs, values)))
+    return ShotEstimate(
+        energy=energy,
+        per_group=tuple(per_group),
+        group_exact=tuple(group_exact),
+        seed=seed,
+        shots=shots,
+        constant=grouping.constant,
+        std_error=math.sqrt(variance_of_mean),
+    )

@@ -52,6 +52,15 @@ def run_checked(runner, args, expect=0):
     return result
 
 
+def tree(root: Path) -> dict:
+    """Every path under `root`, mapped to its bytes if it is a file."""
+    return {p.relative_to(root): p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+
+def refuse_to_build(*args):
+    raise AssertionError("a geometry was built")
+
+
 class TestHam:
     def test_stdout_payload(self, runner, fixtures_dir, dimer_problem):
         prob, h, ref = dimer_problem
@@ -85,6 +94,18 @@ class TestHam:
         payload = json.loads(out.read_text())
         assert payload["metadata"]["mapping"] == "parity"
         assert "4 qubits" in result.output
+
+    @pytest.mark.parametrize("target", ["afile/h.json", "."])
+    def test_unwritable_output_exits_config(self, runner, fixtures_dir, tmp_path, target):
+        (tmp_path / "afile").write_text("kept\n")
+        before = tree(tmp_path)
+        result = runner.invoke(
+            main,
+            ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), "--output", str(tmp_path / target)],
+        )
+        assert result.exit_code == 4, result.output
+        assert "cannot write" in result.output
+        assert tree(tmp_path) == before
 
     def test_bad_window_exits_config(self, runner, fixtures_dir):
         result = runner.invoke(
@@ -398,6 +419,23 @@ class TestQcc:
         assert "summary.csv" in result.output
         assert (summary.is_file() and summary.read_bytes()) == before
         assert sorted(p.name for p in out_dir.iterdir()) == ["summary.csv"]
+
+    @pytest.mark.parametrize("command", ["qcc", "pes"])
+    @pytest.mark.parametrize("target", ["afile", "afile/out"])
+    def test_unusable_output_dir_exits_before_any_solve(
+        self, runner, fixtures_dir, tmp_path, monkeypatch, command, target
+    ):
+        monkeypatch.setattr(cli, "_build_problem", refuse_to_build)
+        (tmp_path / "afile").write_text("kept\n")
+        before = tree(tmp_path)
+        result = runner.invoke(
+            main,
+            [command, str(fixtures_dir / "dimer.manifest.json"),
+             "--output-dir", str(tmp_path / target)],
+        )
+        assert result.exit_code == 4, result.output
+        assert "cannot create output directory" in result.output
+        assert tree(tmp_path) == before
 
     def test_failed_geometry_gets_error_row(self, runner, fixtures_dir, tmp_path):
         bad = tmp_path / "broken.fcidump"
@@ -902,6 +940,28 @@ class TestMeasure:
         meta = json.loads(ham_path.read_text())["metadata"]
         assert meta["reference"] == "1100"
         assert payload["n_groups"] >= 1
+
+    @pytest.mark.parametrize(
+        "flag, target",
+        [
+            ("--output", "afile/x.json"),
+            ("--output", "."),
+            ("--per-group", "afile/x.csv"),
+            ("--per-group", "."),
+        ],
+    )
+    def test_unwritable_output_exits_config(
+        self, runner, fixtures_dir, tmp_path, flag, target
+    ):
+        ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        before = tree(tmp_path)
+        result = runner.invoke(
+            main, ["measure", str(ham_path), "--shots", "64", flag, str(tmp_path / target)]
+        )
+        assert result.exit_code == 4, result.output
+        assert "cannot write" in result.output
+        assert tree(tmp_path) == before
 
     def test_rejects_bad_requests(self, runner, fixtures_dir, tmp_path):
         ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)

@@ -22,6 +22,7 @@ from qccvqe import (
     per_group_error,
     prepare_basis_state,
     sample_energy,
+    simulator,
 )
 
 import reference
@@ -319,3 +320,52 @@ class TestSampling:
             sample_energy(state, grouping, shots=0, seed=1)
         with pytest.raises(ValueError):
             sample_energy(prepare_basis_state(3, 0), grouping, shots=10, seed=1)
+
+
+@st.composite
+def states_and_bases(draw):
+    """A random state on 1-8 qubits and a random shared basis, I/X/Y/Z per qubit."""
+    n = draw(st.integers(1, 8))
+    state = random_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return state, draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, (1 << n) - 1))
+
+
+@st.composite
+def states_and_wide_sums(draw):
+    """A random state on 1-8 qubits and a Pauli sum of up to 40 terms."""
+    n = draw(st.integers(1, 8))
+    labels = st.text("IXYZ", min_size=n, max_size=n)
+    coeff = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = draw(st.dictionaries(labels, coeff, min_size=1, max_size=40))
+    state = random_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return state, QubitHamiltonian.from_labels(terms)
+
+
+class TestShotKernelsMatchReference:
+    """The shot pass against its earlier einsum and PauliString kernels, value for value."""
+
+    @PROPERTY
+    @given(states_and_bases())
+    def test_basis_change_matches_einsum(self, case):
+        state, basis_x, basis_z = case
+        group = simulator.MeasurementGroup(
+            basis_x, basis_z, ((PauliString(state.n_qubits, basis_x, basis_z), 1.0),)
+        )
+        assert np.array_equal(
+            simulator._rotate_to_group_basis(state, group),
+            reference.rotate_to_group_basis(state, basis_x, basis_z),
+        )
+
+    @PROPERTY
+    @given(states_and_wide_sums())
+    def test_grouping_matches_pauli_string_first_fit(self, case):
+        _, h = case
+        assert group_qwc(h) == reference.group_qwc(h)
+
+    @PROPERTY
+    @given(states_and_wide_sums(), st.integers(1, 5000), st.integers(0, 2**32 - 1))
+    def test_sample_energy_matches_reference_pass(self, case, shots, seed):
+        state, h = case
+        assert sample_energy(state, group_qwc(h), shots, seed) == reference.sample_energy(
+            state, reference.group_qwc(h), shots, seed
+        )
