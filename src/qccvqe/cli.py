@@ -64,9 +64,19 @@ def _parse(path: Path, build, data: dict):
         _die(EXIT_PARSE, f"{path}: malformed content: {exc!r}")
 
 
-def _write_text(path: Path, text: str) -> None:
+def _check_output(path: Path) -> None:
+    """Create the directory of `path`; exit 4 if that fails or `path` is a directory."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _die(EXIT_CONFIG, f"cannot write {path}: {exc}")
+    if path.is_dir():
+        _die(EXIT_CONFIG, f"cannot write {path}: it is a directory")
+
+
+def _write_text(path: Path, text: str) -> None:
+    _check_output(path)
+    try:
         path.write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         _die(EXIT_CONFIG, f"cannot write {path}: {exc}")
@@ -768,6 +778,9 @@ def measure(hamiltonian_path, circuit, shots, seed, output, per_group):
     widths = {len(reference)} | {p.n_qubits for p, _ in generators}
     if widths != {ham.n_qubits}:
         _die(EXIT_CONFIG, f"circuit on {sorted(widths)} qubits, Hamiltonian on {ham.n_qubits}")
+    for path in (output, per_group):
+        if path is not None:
+            _check_output(path)  # a refused path must not leave the other output
     try:
         payload = _measure_state(ham, reference, generators, shots, seed)
     except ValueError as exc:
@@ -775,7 +788,7 @@ def measure(hamiltonian_path, circuit, shots, seed, output, per_group):
     _write_json(output, payload)
     if per_group is not None:
         _write_csv(
-            Path(per_group),
+            per_group,
             ["group", "shared_basis", "estimate", "exact", "difference"],
             (
                 [g["id"], g["basis"]]

@@ -3,7 +3,8 @@
 Provides the dense-matrix rendering of Pauli-sum Hamiltonians and the exact
 lowest eigenvalue, optionally restricted to a fixed-electron-number sector.
 Every numerical claim elsewhere in the package is checked against this
-module, so it stays deliberately simple: one builder lists the matrix
+module, so it stays deliberately simple: the simulator's entries kernel,
+which also gives every solver and statevector energy, lists the matrix
 entries of the Pauli sum on a set of basis states (the C(n, N_e) states of
 the sector, or all 2^n), the basis is split into the connected components
 of those entries, and each block goes to numpy's `eigh`. The chain6 sector
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .pauli import PauliString, QubitHamiltonian
-from .simulator import _pauli_phase_vector
+from .simulator import _entries, _indices
 
 __all__ = [
     "ORACLE_MAX_QUBITS",
@@ -54,43 +55,12 @@ class GroundState:
     degenerate: bool
 
 
-def _entries(
-    h: QubitHamiltonian, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of the Pauli sum on the sorted basis indices `basis`.
-
-    Entry (r, c) is <basis[r]|H|basis[c]>, from the action
-    P|b> = i^{|x&z|} (-1)^{|b&z|} |b ^ x>. Terms sharing an x-mask (adjacent
-    in canonical order) send every column to the same row, so their phases
-    are summed first and placed once per mask; no (row, col) pair repeats.
-    Entries whose row leaves the basis are dropped, which leaves exactly the
-    block of the full matrix on `basis`. With an even Y count in every term
-    each phase is +/-1, so the values are returned real.
-    """
-    idx = basis.astype(np.uint64)
-    cols = np.arange(idx.size)
-    flips, starts = np.unique(h.x, return_index=True)
-    rows_all, cols_all, vals_all = [cols[:0]], [cols[:0]], [np.zeros(0, np.complex128)]
-    for x_mask, terms in zip(flips.tolist(), np.split(np.arange(len(h)), starts[1:])):
-        vals = h.coeff[terms] @ _pauli_phase_vector(h.x[terms, None], h.z[terms, None], idx)
-        flipped = idx ^ np.uint64(x_mask)
-        rows = np.minimum(np.searchsorted(idx, flipped), idx.size - 1)
-        inside = idx[rows] == flipped
-        rows_all.append(rows[inside])
-        cols_all.append(cols[inside])
-        vals_all.append(vals[inside])
-    vals = np.concatenate(vals_all)
-    if not (np.bitwise_count(h.x & h.z) & 1).any():
-        vals = vals.real
-    return np.concatenate(rows_all), np.concatenate(cols_all), vals
-
-
 def to_dense(h: QubitHamiltonian | PauliString) -> np.ndarray:
     """Dense complex128 matrix of a Pauli sum (or a single string).
 
-    Row/column index b has qubit i at bit i. Built from the same phase
-    kernel as the simulator rather than Kronecker products, so the bit
-    convention cannot drift between the two.
+    Row/column index b has qubit i at bit i. Built from the simulator's
+    entries kernel rather than Kronecker products, so the bit convention
+    cannot drift between the two.
     """
     if isinstance(h, PauliString):
         h = QubitHamiltonian(h.n_qubits, {h: 1.0})
@@ -106,8 +76,7 @@ def _sector_indices(
     n_qubits: int, n_electrons: int, occupation_of: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """Basis indices whose decoded occupation has the requested electron count."""
-    idx = np.arange(1 << n_qubits, dtype=np.uint64)
-    occ = occupation_of(idx)
+    occ = occupation_of(_indices(n_qubits))
     counts = np.bitwise_count(occ).astype(np.int64)
     return np.flatnonzero(counts == n_electrons)
 

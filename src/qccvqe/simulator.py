@@ -115,13 +115,49 @@ def _pauli_phase_vector(x_mask, z_mask, idx) -> np.ndarray:
 
     P|b> = i^{|x&z|} (-1)^{|b&z|} |b ^ x>, so the entry for b is the scalar
     that takes |b> to |b ^ x>. Masks and indices (uint64, or Python ints)
-    broadcast: one string over many indices, as in the simulator and the
-    oracle's matrix builder, or many strings over one index, as in screening.
+    broadcast: one string over many indices, as in the rotations and the
+    entries kernel, or many strings over one index, as in screening.
     """
     k = np.bitwise_count(np.bitwise_and(x_mask, z_mask)) + 2 * np.bitwise_count(
         idx & z_mask
     )
     return _PHASES[k & 3]
+
+
+def _entries(
+    h: QubitHamiltonian, basis: np.ndarray, flips: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the Pauli sum on the sorted basis indices `basis`.
+
+    Entry (r, c) is <basis[r]|H|basis[c]>, from the action
+    P|b> = i^{|x&z|} (-1)^{|b&z|} |b ^ x>. Terms sharing an x-mask are one
+    slice of canonical order and send every column to the same row, so
+    their phases are summed and placed once per mask; no (row, col) pair
+    repeats. Rows that leave the basis are dropped, leaving the block of the
+    full matrix on `basis`. Given sorted unique `flips`, only those masks'
+    slices are read. With an even Y count in every term read, each phase is
+    +/-1, so the values are returned real.
+    """
+    idx = basis.astype(np.uint64)
+    cols = np.arange(idx.size)
+    if flips is None:
+        flips = np.unique(h.x, return_index=True)[0]
+    lo, hi = (np.searchsorted(h.x, flips, side).tolist() for side in ("left", "right"))
+    rows_all, cols_all, vals_all = [cols[:0]], [cols[:0]], [np.zeros(0, np.complex128)]
+    real = True
+    for x_mask, a, b in zip(flips.tolist(), lo, hi):
+        if a == b:
+            continue
+        x, z = h.x[a:b, None], h.z[a:b, None]
+        real = real and not (np.bitwise_count(x & z) & 1).any()
+        flipped = idx ^ np.uint64(x_mask)
+        rows = np.minimum(np.searchsorted(idx, flipped), idx.size - 1)
+        inside = idx[rows] == flipped
+        rows_all.append(rows[inside])
+        cols_all.append(cols[inside])
+        vals_all.append((h.coeff[a:b] @ _pauli_phase_vector(x, z, idx))[inside])
+    vals = np.concatenate(vals_all)
+    return np.concatenate(rows_all), np.concatenate(cols_all), vals.real if real else vals
 
 
 @cache
@@ -184,13 +220,10 @@ def expectation(state: Statevector, h: QubitHamiltonian) -> float:
     """Exact <psi|H|psi>; raises if an imaginary residue above 1e-8 appears."""
     if h.n_qubits != state.n_qubits:
         raise ValueError(f"qubit-count mismatch: {h.n_qubits} vs {state.n_qubits}")
-    amp = state.amplitudes
-    conj = amp.conj()
-    idx = _indices(state.n_qubits)
-    total = 0.0 + 0.0j
-    for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeff.tolist()):
-        vec = _pauli_phase_vector(x, z, idx) * amp
-        total += c * np.dot(conj[idx ^ np.uint64(x)], vec)
+    support = np.flatnonzero(state.amplitudes)  # zero amplitudes add nothing
+    amp = state.amplitudes[support]
+    rows, cols, vals = _entries(h, support)
+    total = np.vdot(amp[rows], vals * amp[cols])
     if abs(total.imag) > 1e-8:
         raise ValueError(f"expectation has imaginary part {total.imag!r}")
     return float(total.real)

@@ -8,9 +8,9 @@ fixed reference state. A log-linear fit of successive energy differences
 extrapolates the converged energy from a finite trace.
 
 The reference is a basis state, and k rotations reach at most 2^k basis
-states from it, so every QCC energy is Pauli algebra on that support and no
-2^n vector is built. The statevector simulator serves shot emulation,
-`measure`, the UCCSD baseline and the tests.
+states from it, so every QCC energy is the quadratic form of the dressed
+Hamiltonian's entries on that support, from the simulator's entries kernel,
+and no 2^n vector is built. The UCCSD baseline prepares statevectors.
 
 QCC and the UCCSD baseline share exact coordinate sweeps: each amplitude's
 energy curve, a trigonometric polynomial of degree one (QCC) or two
@@ -33,6 +33,7 @@ from .pauli import (
 )
 from .simulator import (
     Statevector,
+    _entries,
     _pauli_phase_vector,
     apply_rotation_sequence,
     bitstring_label,
@@ -136,10 +137,10 @@ def _support_energy(
     """<b|U^dag H U|b> for U = U_1 ... U_k on the <= 2^k states U|b> covers.
 
     The rotations act rightmost first, as in apply_rotation_sequence, on the
-    sorted support indices and their amplitudes, from {b: 1}. A term
-    (x, z, c) adds c conj(a[i ^ x]) phase(i) a[i] for each support index i
-    whose partner i ^ x is in the support; with no rotations that leaves
-    the diagonal sum of c (-1)^{|b & z|} over the terms with x = 0.
+    sorted support indices and their amplitudes, from {b: 1}. The energy is
+    then the quadratic form of H's entries on the support, and only terms
+    whose flip mask is some i ^ j of two support states can add to it, so
+    only those x-mask slices are read; with no rotations that is x = 0.
     """
     idx = np.array([b], dtype=np.uint64)
     amp = np.ones(1, dtype=np.complex128)
@@ -151,12 +152,9 @@ def _support_energy(
             np.concatenate([idx, idx ^ np.uint64(p.x_mask)]), return_inverse=True
         )
         amp = np.bincount(where, merged.real) + 1j * np.bincount(where, merged.imag)
-    x, z, coeff = (a[:, None] for a in (h.x, h.z, h.coeff))
-    partner = idx ^ x
-    slot = np.minimum(np.searchsorted(idx, partner), idx.size - 1)
-    hit = idx[slot] == partner
-    terms_at = coeff * np.conj(amp[slot]) * _pauli_phase_vector(x, z, idx) * amp
-    return float(terms_at[hit].sum().real)
+    flips = np.unique(idx[:, None] ^ idx, return_index=True)[0]
+    rows, cols, vals = _entries(h, idx, flips)
+    return float(np.vdot(amp[rows], vals * amp[cols]).real)
 
 
 def screen_generators(

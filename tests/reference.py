@@ -12,7 +12,9 @@ kernels: the `einsum` basis-change gate, the first-fit grouping over
 `PauliString` objects, and `sample_energy` built from those two. The
 package's elementwise basis change must give equal amplitudes, its
 mask-level grouping the same partition, and its shot pass an equal
-`ShotEstimate` for the same seed.
+`ShotEstimate` for the same seed. `expectation` is the earlier per-term
+loop over the full 2^n amplitudes, the slow reference for the package's
+entries kernel, which lists the matrix entries on the state's support.
 """
 
 from __future__ import annotations
@@ -160,6 +162,19 @@ def random_hamiltonian(
         if not (even_y and label.count("Y") % 2):
             coeffs[label] = float(rng.normal(0.0, 1.0))
     return QubitHamiltonian.from_labels(coeffs)
+
+
+def expectation(state, h) -> float:
+    """<psi|H|psi> term by term: sum of c <psi|P|psi> over the full 2^n space."""
+    from qccvqe.simulator import _pauli_phase_vector
+
+    amp = state.amplitudes
+    idx = np.arange(amp.size, dtype=np.uint64)
+    total = 0.0 + 0.0j
+    for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeff.tolist()):
+        vec = _pauli_phase_vector(x, z, idx) * amp
+        total += c * np.dot(amp.conj()[idx ^ np.uint64(x)], vec)
+    return float(total.real)
 
 
 def dress_terms(h, p, tau: float, prune: float) -> list[tuple[tuple[int, int], float]]:

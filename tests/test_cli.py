@@ -942,23 +942,23 @@ class TestMeasure:
         assert payload["n_groups"] >= 1
 
     @pytest.mark.parametrize(
-        "flag, target",
+        "outputs",
         [
-            ("--output", "afile/x.json"),
-            ("--output", "."),
-            ("--per-group", "afile/x.csv"),
-            ("--per-group", "."),
+            ["--output", "afile/x.json"],
+            ["--output", "."],
+            ["--per-group", "afile/x.csv"],
+            ["--per-group", "."],
+            # a writable --output must not be written when --per-group is refused
+            ["--output", "good.json", "--per-group", "afile/x.csv"],
         ],
+        ids="-".join,
     )
-    def test_unwritable_output_exits_config(
-        self, runner, fixtures_dir, tmp_path, flag, target
-    ):
+    def test_unwritable_output_exits_config(self, runner, fixtures_dir, tmp_path, outputs):
         ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
         (tmp_path / "afile").write_text("kept\n")
         before = tree(tmp_path)
-        result = runner.invoke(
-            main, ["measure", str(ham_path), "--shots", "64", flag, str(tmp_path / target)]
-        )
+        paths = [a if a.startswith("--") else str(tmp_path / a) for a in outputs]
+        result = runner.invoke(main, ["measure", str(ham_path), "--shots", "64", *paths])
         assert result.exit_code == 4, result.output
         assert "cannot write" in result.output
         assert tree(tmp_path) == before

@@ -14,6 +14,7 @@ from qccvqe import (
     exact_ground,
     occupation_decoder,
     oracle,
+    simulator,
     to_dense,
 )
 
@@ -156,7 +157,7 @@ class TestSectorBasis:
         for n in range(2, 7):
             h = reference.random_hamiltonian(rng, n, 3 * n, even_y=even_y)
             odd_y = any(p.to_label().count("Y") % 2 for p, _ in h.items())
-            _, _, vals = oracle._entries(h, np.arange(1 << n))
+            _, _, vals = simulator._entries(h, np.arange(1 << n))
             assert vals.dtype == (np.complex128 if odd_y else np.float64)
             full = reference.ham_matrix(h)
             decoder = occupation_decoder(mapping, n)
@@ -202,7 +203,7 @@ def sector_entries(name, mapping):
     _, h, _ = build_problem(name, n, n, mapping)
     decoder = occupation_decoder(mapping, h.n_qubits)
     basis = oracle._sector_indices(h.n_qubits, n, decoder)
-    return h, n, decoder, basis, oracle._entries(h, basis)
+    return h, n, decoder, basis, simulator._entries(h, basis)
 
 
 class TestBlocks:
@@ -213,7 +214,7 @@ class TestBlocks:
         for n in range(1, 7):
             h = reference.random_hamiltonian(rng, n, int(rng.integers(1, 2 * n + 1)))
             size = 1 << n
-            rows, cols, _ = oracle._entries(h, np.arange(size))
+            rows, cols, _ = simulator._entries(h, np.arange(size))
             block = oracle._blocks(rows, cols, size)
             # union-find over the listed pairs, labels = smallest member
             parent = list(range(size))

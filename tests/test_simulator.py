@@ -158,6 +158,19 @@ class TestExpectation:
             )
             assert abs(expected.imag) < 1e-9
             assert abs(expectation(state, h) - expected.real) < 1e-10
+        # sparse states, where most rows of the entries leave the support
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            amp = np.zeros(1 << n, dtype=np.complex128)
+            hits = rng.choice(1 << n, size=min(int(rng.integers(1, 5)), 1 << n), replace=False)
+            amp[hits] = rng.normal(size=hits.size) + 1j * rng.normal(size=hits.size)
+            state = Statevector(n, amp / np.linalg.norm(amp))
+            h = reference.random_hamiltonian(rng, n, 20)
+            expected = np.vdot(
+                state.amplitudes, reference.ham_matrix(h) @ state.amplitudes
+            )
+            assert abs(expectation(state, h) - expected.real) < 1e-10
+            assert abs(reference.expectation(state, h) - expected.real) < 1e-10
 
     def test_dressing_equals_circuit(self):
         from qccvqe import dress_sequence
@@ -178,6 +191,28 @@ class TestExpectation:
             expectation(
                 prepare_basis_state(2, 0), QubitHamiltonian.from_labels({"X": 1.0})
             )
+
+
+class TestEntries:
+    @PROPERTY
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_pair_masks_read_every_entry_that_counts(self, n, seed):
+        """Reading only the x-masks i ^ j of the basis loses no energy."""
+        rng = np.random.default_rng(seed)
+        h = reference.random_hamiltonian(rng, n, int(rng.integers(1, 40)))
+        basis = np.flatnonzero(rng.random(1 << n) < rng.uniform(0.05, 1.0))
+        basis = (basis if basis.size else np.array([0])).astype(np.uint64)
+        amp = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        amp /= np.linalg.norm(amp)
+
+        def energy(flips):
+            rows, cols, vals = simulator._entries(h, basis, flips)
+            return np.vdot(amp[rows], vals * amp[cols]).real
+
+        pairs = np.unique(basis[:, None] ^ basis, return_index=True)[0]
+        block = reference.ham_matrix(h)[np.ix_(basis, basis)]
+        assert energy(pairs) == pytest.approx(energy(None), abs=1e-12)
+        assert energy(None) == pytest.approx(np.vdot(amp, block @ amp).real, abs=1e-10)
 
 
 class TestGrouping:

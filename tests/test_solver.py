@@ -134,9 +134,10 @@ class TestSupportEnergy:
     @PROPERTY
     @given(support_cases())
     def test_matches_the_statevector(self, case):
+        # the Kronecker matrix, not `expectation`: both share the entries kernel
         h, b, pairs = case
-        ref = prepare_basis_state(h.n_qubits, b)
-        expected = expectation(apply_rotation_sequence(ref, pairs), h)
+        psi = apply_rotation_sequence(prepare_basis_state(h.n_qubits, b), pairs).amplitudes
+        expected = np.vdot(psi, reference.ham_matrix(h) @ psi).real
         assert _support_energy(h, b, pairs) == pytest.approx(
             expected, abs=1e-12
         )
