@@ -251,7 +251,8 @@ def default_window(
     n_inactive_elec = ints.n_electrons - n_active_electrons
     if n_inactive_elec < 0 or n_inactive_elec % 2:
         raise ValueError(
-            f"cannot freeze {n_inactive_elec} electrons (negative or odd)"
+            f"{n_active_electrons} active electrons of {ints.n_electrons} leave "
+            f"{n_inactive_elec} to freeze (negative or odd)"
         )
     start = n_inactive_elec // 2
     return range(start, start + n_active_orbitals)

@@ -310,14 +310,10 @@ def fci(fcidump, active_electrons, n_orbitals, window, mapping, full_spectrum, o
 @click.argument("fcidump", type=click.Path(exists=True, path_type=Path))
 @_with_options(_cas_options)
 @click.option("--optimize", "run_opt", is_flag=True,
-              help="Variationally optimize the amplitudes.")
-@click.option("--force", is_flag=True,
-              help="Optimize even above the parameter ceiling.")
-@click.option("--param-ceiling", type=int, default=30, show_default=True,
-              help="Refuse --optimize above this many parameters without --force.")
+              help="Variationally optimize the amplitudes, on the determinants "
+                   "the excitations reach; CAS(6,6) takes seconds.")
 @click.option("--output", type=click.Path(path_type=Path), default=None)
-def uccsd(fcidump, active_electrons, n_orbitals, window, mapping,
-          run_opt, force, param_ceiling, output):
+def uccsd(fcidump, active_electrons, n_orbitals, window, mapping, run_opt, output):
     """Count (and optionally optimize) single-Trotter UCCSD parameters."""
     geom = _build_problem_or_die(fcidump, active_electrons, n_orbitals, window, mapping)
     prob = geom.problem
@@ -331,12 +327,6 @@ def uccsd(fcidump, active_electrons, n_orbitals, window, mapping,
         "parameter_count": exc_list.parameter_count,
     }
     if run_opt:
-        if exc_list.parameter_count > param_ceiling and not force:
-            _die(
-                EXIT_CONFIG,
-                f"{exc_list.parameter_count} parameters exceed the ceiling "
-                f"{param_ceiling}; pass --force to optimize anyway",
-            )
         try:
             generators = chem.uccsd_generator_paulis(
                 exc_list, prob.n_spin_orbitals, geom.mapping
@@ -417,12 +407,12 @@ def _load_manifest(
         window = data.get("orbital_window")
         if window is not None and not (
             isinstance(window, list)
-            and all(isinstance(i, int) and not isinstance(i, bool) for i in window)
+            and all(isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in window)
         ):
             raise ConfigError(
-                f"orbital_window must be a list of integers, got {window!r}"
+                f"orbital_window must be a list of non-negative integers, got {window!r}"
             )
-        n_active_orbitals = _manifest_int(data, "active_orbitals")
+        n_active_orbitals = _manifest_int(data, "active_orbitals", minimum=1)
         _check_width(max(n_active_orbitals or 0, len(window or ())))
         seed = _manifest_int(data, "seed", minimum=0)
         mapping = data.get("mapping", "jordan_wigner")
@@ -440,7 +430,7 @@ def _load_manifest(
             out_dir = path.parent / out_dir
         return Manifest(
             entries=tuple(sorted(entries, key=lambda e: e.label)),
-            n_active_electrons=_manifest_int(data, "active_electrons"),
+            n_active_electrons=_manifest_int(data, "active_electrons", minimum=0),
             n_active_orbitals=n_active_orbitals,
             window=tuple(window) if window is not None else None,
             mapping=chem.normalize_mapping(mapping),

@@ -7,10 +7,10 @@ into the Hamiltonian by conjugation so the next iteration restarts from the
 fixed reference state. A log-linear fit of successive energy differences
 extrapolates the converged energy from a finite trace.
 
-The reference is a basis state, and k rotations reach at most 2^k basis
-states from it, so every QCC energy is the quadratic form of the dressed
-Hamiltonian's entries on that support, from the simulator's entries kernel,
-and no 2^n vector is built. The UCCSD baseline prepares statevectors.
+The reference is a basis state, and QCC rotations and UCCSD excitations
+each map a basis state to one partner, so every energy of either ansatz is
+the quadratic form of H's entries (the simulator's entries kernel) on the
+determinants the circuit reaches, and no 2^n vector is built.
 
 QCC and the UCCSD baseline share exact coordinate sweeps: each amplitude's
 energy curve, a trigonometric polynomial of degree one (QCC) or two
@@ -31,14 +31,10 @@ from .pauli import (
     QubitHamiltonian,
     dress_sequence,
 )
-from .simulator import (
-    Statevector,
-    _entries,
-    _pauli_phase_vector,
-    apply_rotation_sequence,
-    bitstring_label,
-    expectation,
-)
+from .simulator import Statevector, _entries, _pauli_phase_vector, bitstring_label
+
+# Unused here; perfbench/spans.py wraps them by name until ROADMAP item 1 step 1.
+from .simulator import apply_rotation_sequence, expectation  # noqa: F401
 
 __all__ = [
     "GRAD_EPS",
@@ -129,32 +125,47 @@ def _basis_index_of(ref: Statevector, n_qubits: int) -> int:
     return index
 
 
-def _support_energy(
+def _circuit_energy(
     h: QubitHamiltonian,
     b: int,
-    rotations: Sequence[tuple[PauliString, float]],
-) -> float:
-    """<b|U^dag H U|b> for U = U_1 ... U_k on the <= 2^k states U|b> covers.
+    generators: Sequence[Sequence[tuple[PauliString, float]]],
+):
+    """energy(ts) = <b|U^dag H U|b> for U = exp(i t_k G_k) ... exp(i t_1 G_1).
 
-    The rotations act rightmost first, as in apply_rotation_sequence, on the
-    sorted support indices and their amplitudes, from {b: 1}. The energy is
-    then the quadratic form of H's entries on the support, and only terms
-    whose flip mask is some i ^ j of two support states can add to it, so
-    only those x-mask slices are read; with no rotations that is x = 0.
+    The (P, c) terms of G = sum c P share one flip mask x, so G|s> =
+    g(s)|s ^ x> with |g(s)| in {0, 1}: exp(i t G) rotates each coupled pair
+    {s, s ^ x} by t and keeps uncoupled states. The reached states, each
+    pair's coupling and H's entries there are built once.
     """
-    idx = np.array([b], dtype=np.uint64)
-    amp = np.ones(1, dtype=np.complex128)
-    for p, tau in reversed(rotations):
-        phase = _pauli_phase_vector(p.x_mask, p.z_mask, idx)
-        kicked = -1j * math.sin(0.5 * tau) * phase * amp
-        merged = np.concatenate([math.cos(0.5 * tau) * amp, kicked])
-        idx, where = np.unique(
-            np.concatenate([idx, idx ^ np.uint64(p.x_mask)]), return_inverse=True
-        )
-        amp = np.bincount(where, merged.real) + 1j * np.bincount(where, merged.imag)
-    flips = np.unique(idx[:, None] ^ idx, return_index=True)[0]
-    rows, cols, vals = _entries(h, idx, flips)
-    return float(np.vdot(amp[rows], vals * amp[cols]).real)
+    terms = []
+    for gen in generators:
+        masks = {p.x_mask for p, _ in gen}
+        if len(masks) != 1:
+            raise ValueError(f"generator terms flip different masks {sorted(masks)}")
+        z = np.array([p.z_mask for p, _ in gen], dtype=np.uint64)[:, None]
+        terms.append((np.uint64(masks.pop()), z, np.array([c for _, c in gen])))
+    basis = np.array([b], dtype=np.uint64)
+    for x, z, c in terms:
+        coupled = np.abs(c @ _pauli_phase_vector(x, z, basis)) > 0.5
+        basis = np.unique(np.concatenate([basis, basis[coupled] ^ x]), return_index=True)[0]
+    steps = []
+    for x, z, c in terms:
+        g = c @ _pauli_phase_vector(x, z, basis)
+        modulus = np.abs(g)
+        if (np.minimum(modulus, abs(modulus - 1.0)) > 1e-9).any():
+            raise ValueError("generator couplings must have modulus 0 or 1")
+        src = np.minimum(np.searchsorted(basis, basis ^ x), basis.size - 1)
+        pos = np.flatnonzero((basis[src] == basis ^ x) & (modulus[src] > 0.5))
+        steps.append((pos, src[pos], g[src[pos]]))
+    rows, cols, vals = _entries(h, basis, np.unique(basis[:, None] ^ basis, return_index=True)[0])
+
+    def energy(ts: Sequence[float]) -> float:
+        amp = (basis == np.uint64(b)).astype(np.complex128)
+        for (pos, src, g), t in zip(steps, ts, strict=True):
+            amp[pos] = math.cos(t) * amp[pos] + 1j * math.sin(t) * g * amp[src]
+        return float(np.vdot(amp[rows], vals * amp[cols]).real)
+
+    return energy
 
 
 def screen_generators(
@@ -266,11 +277,11 @@ def optimize_amplitudes(
     The reference must be a basis state: energies come from the <= 2^k
     states the circuit reaches. The result never exceeds the input energy.
     """
-    index = _basis_index_of(ref, h.n_qubits)
+    b = _basis_index_of(ref, h.n_qubits)
+    # exp(-i tau P / 2) is exp(i t P) at t = -tau / 2; the last generator acts first
+    energy = _circuit_energy(h, b, [[(p, 1.0)] for p in reversed(generators)])
     return _coordinate_sweeps(
-        len(generators),
-        lambda taus: _support_energy(h, index, list(zip(generators, taus))),
-        _rotosolve_step,
+        len(generators), lambda taus: energy([-0.5 * t for t in reversed(taus)]), _rotosolve_step
     )
 
 
@@ -382,7 +393,7 @@ def qcc_run(
     cfg = cfg or QccConfig()
     b = _basis_index_of(ref, h0.n_qubits)
     h = h0
-    initial_energy = e_prev = _support_energy(h, b, ())
+    initial_energy = e_prev = _circuit_energy(h, b, [])([])
     records: list[IterationRecord] = []
     converged = False
     for _ in range(cfg.max_iterations):
@@ -398,7 +409,7 @@ def qcc_run(
             break
         pairs = tuple(zip(generators, taus))
         h = dress_sequence(h, pairs, prune=cfg.prune_threshold)
-        energy = _support_energy(h, b, ())
+        energy = _circuit_energy(h, b, [])([])
         records.append(
             IterationRecord(
                 generators=pairs,
@@ -524,9 +535,5 @@ def optimize_uccsd(
     two-harmonic curve; the amplitudes are swept coordinate by coordinate
     like optimize_amplitudes, five evaluations per exact update.
     """
-    def energy(taus: list[float]) -> float:
-        pairs = [(p, -2.0 * t * c) for t, ts in zip(taus, generator_terms) for p, c in ts]
-        # apply_rotation_sequence applies the last pair first
-        return expectation(apply_rotation_sequence(ref, pairs[::-1]), h)
-
+    energy = _circuit_energy(h, _basis_index_of(ref, h.n_qubits), generator_terms)
     return _coordinate_sweeps(len(generator_terms), energy, _two_harmonic_step)

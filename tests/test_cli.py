@@ -145,11 +145,13 @@ class TestHam:
         assert result.exit_code == 2
 
     def test_infeasible_cas_exits_config(self, runner, fixtures_dir):
-        result = runner.invoke(
-            main,
-            ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), "-e", "1", "-o", "2"],
-        )
-        assert result.exit_code == 4
+        # the message names the requested count, not the count left to freeze
+        for flags in (["-e", "1", "-o", "2"], ["-e", "-1"]):
+            result = runner.invoke(
+                main, ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), *flags]
+            )
+            assert result.exit_code == 4
+            assert f"{flags[1]} active electrons of 2" in result.output
 
 
 # One appended data line per kind; each is line 12 of the dimer FCIDUMP.
@@ -300,13 +302,14 @@ class TestUccsd:
         assert payload["parameter_count"] == 117
         assert "optimized" not in payload
 
-    def test_optimize_refused_above_ceiling(self, runner, fixtures_dir):
-        result = runner.invoke(
-            main,
-            ["uccsd", str(fixtures_dir / "chain6_d1.00.fcidump"), "--optimize"],
-        )
-        assert result.exit_code == 4
-        assert "--force" in result.output
+    def test_ceiling_flags_are_gone(self, runner, fixtures_dir):
+        # every parameter count is optimized on the reached determinants
+        for flags in (["--force"], ["--param-ceiling", "30"]):
+            result = runner.invoke(
+                main,
+                ["uccsd", str(fixtures_dir / "dimer_d1.00.fcidump"), "--optimize", *flags],
+            )
+            assert result.exit_code == 2, (flags, result.output)
 
     def test_seed_flag_is_gone(self, runner, fixtures_dir):
         # the exact sweeps start from zero and draw nothing at random
@@ -568,8 +571,12 @@ class TestQcc:
             {"qcc": {"prune_threshold": math.inf}},
             {"qcc": {"prune_threshold": "0"}},
             {"active_electrons": "2"},
+            {"active_electrons": -1},
             {"active_orbitals": 2.0},
+            {"active_orbitals": 0},
+            {"active_orbitals": -2},
             {"orbital_window": "0,1"},
+            {"orbital_window": [-1, 0]},
             {"orbital_window": [0, "1"]},
             {"orbital_window": [0, True]},
             {"mapping": 5},

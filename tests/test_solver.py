@@ -33,7 +33,7 @@ from qccvqe import (
     uccsd_excitations,
     uccsd_generator_paulis,
 )
-from qccvqe.solver import _support_energy, _two_harmonic_step
+from qccvqe.solver import _circuit_energy, _two_harmonic_step
 
 import reference
 from test_pauli import PROPERTY
@@ -47,22 +47,37 @@ def circuit_energy(h, ref, generator, tau):
 
 
 @st.composite
-def support_cases(draw):
-    """Random real Pauli sum, basis reference and 0-3 rotations on 1-6 qubits.
+def circuit_cases(draw):
+    """Random real Pauli sum, basis reference and circuit on 1-6 qubits.
 
-    Strings, coefficients and angles come from a drawn seed. Rotations pick
-    from a pool of two strings, so repeats are common, and a quarter of the
-    angles are zero; the rest are uniform in [-pi, pi].
+    Half the circuits are 0-3 QCC rotations from a pool of two strings, so
+    repeats are common, with a quarter of the angles zero and the rest
+    uniform in [-pi, pi]. The other half are the UCCSD excitations of 1-3
+    orbitals under JW or parity at uniform amplitudes; from a random
+    reference many states are uncoupled from some excitation. Returns the
+    kernel's generators and angles, and the same circuit as rotation pairs
+    for apply_rotation_sequence.
     """
-    n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        pool = [PauliString.from_label(reference.random_label(rng, n)) for _ in range(2)]
+        k = draw(st.integers(0, 3))
+        taus = np.where(rng.random(k) < 0.25, 0.0, rng.uniform(-math.pi, math.pi, k))
+        pairs = [(pool[j], float(t)) for j, t in zip(rng.integers(0, 2, k), taus)]
+        # exp(-i tau P / 2) = exp(i t P) at t = -tau / 2; the last pair acts first
+        generators = [[(p, 1.0)] for p, _ in reversed(pairs)]
+        ts = [-0.5 * tau for _, tau in reversed(pairs)]
+    else:
+        orbitals = draw(st.integers(1, 3))
+        n = 2 * orbitals
+        exc = uccsd_excitations(draw(st.integers(0, n)), orbitals)
+        mapping = draw(st.sampled_from(["jordan_wigner", "parity"]))
+        generators = uccsd_generator_paulis(exc, n, mapping)
+        ts = rng.uniform(-math.pi, math.pi, len(generators)).tolist()
+        pairs = [(p, -2.0 * t * c) for t, gen in zip(ts, generators) for p, c in gen][::-1]
     h = reference.random_hamiltonian(rng, n, draw(st.integers(1, 24)))
-    b = draw(st.integers(0, (1 << n) - 1))
-    pool = [PauliString.from_label(reference.random_label(rng, n)) for _ in range(2)]
-    k = draw(st.integers(0, 3))
-    taus = np.where(rng.random(k) < 0.25, 0.0, rng.uniform(-math.pi, math.pi, k))
-    pairs = [(pool[j], float(t)) for j, t in zip(rng.integers(0, 2, k), taus)]
-    return h, b, pairs
+    return h, draw(st.integers(0, (1 << n) - 1)), generators, ts, pairs
 
 
 class TestScreening:
@@ -130,17 +145,24 @@ class TestScreening:
             screen_generators(h, state)
 
 
-class TestSupportEnergy:
+class TestCircuitEnergy:
     @PROPERTY
-    @given(support_cases())
+    @given(circuit_cases())
     def test_matches_the_statevector(self, case):
         # the Kronecker matrix, not `expectation`: both share the entries kernel
-        h, b, pairs = case
+        h, b, generators, ts, pairs = case
         psi = apply_rotation_sequence(prepare_basis_state(h.n_qubits, b), pairs).amplitudes
         expected = np.vdot(psi, reference.ham_matrix(h) @ psi).real
-        assert _support_energy(h, b, pairs) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert _circuit_energy(h, b, generators)(ts) == pytest.approx(expected, abs=1e-12)
+
+    def test_refuses_generators_it_cannot_rotate(self):
+        h = QubitHamiltonian.from_labels({"ZZ": 1.0})
+        x0, x1, y1 = (PauliString.from_label(label) for label in ("XI", "IX", "IY"))
+        with pytest.raises(ValueError, match="different masks"):
+            _circuit_energy(h, 0, [[(x0, 0.5), (x1, 0.5)]])
+        # X + Y sends |s> to (1 +- i)|s ^ 1>, which no 2x2 rotation by t is
+        with pytest.raises(ValueError, match="modulus 0 or 1"):
+            _circuit_energy(h, 0, [[(x1, 1.0), (y1, 1.0)]])
 
 
 class TestOptimize:
@@ -435,18 +457,20 @@ class TestUccsdOptimization:
     )
     def test_five_point_curve_is_exact(self, load_problem, name, n_electrons, mapping):
         # Each generator G satisfies G^3 = G, so along one amplitude the
-        # energy has frequencies 0, 1 and 2 only, fixed by five samples.
+        # energy has frequencies 0, 1 and 2 only, fixed by five samples. The
+        # energy is the kernel optimize_uccsd minimizes (TestCircuitEnergy).
         h, ref, generators = uccsd_setup(load_problem, name, n_electrons, mapping)
+        energy = _circuit_energy(h, ref.basis_state_index, generators)
         rng = np.random.default_rng(RNG_SEED)
         taus = rng.uniform(-math.pi, math.pi, len(generators))
-        base = uccsd_energy(h, ref, generators, taus)
+        base = energy(taus)
         for j in range(len(generators)):
 
             @functools.cache  # the step samples the same four shifts again
             def energy_at(d):
                 shifted = taus.copy()
                 shifted[j] += d
-                return uccsd_energy(h, ref, generators, shifted)
+                return energy(shifted)
 
             samples = [base] + [energy_at(2.0 * math.pi * k / 5) for k in range(1, 5)]
             c0, c1, c2 = np.fft.rfft(samples) / 5
@@ -486,3 +510,33 @@ class TestUccsdOptimization:
         h = QubitHamiltonian.from_labels({"Z": 1.0})
         with pytest.raises(ValueError):
             optimize_uccsd(h, prepare_basis_state(1, 0), [])
+
+    def test_requires_basis_reference(self, dimer_problem):
+        prob, h, _ = dimer_problem
+        exc = uccsd_excitations(prob.n_active_electrons, prob.n_active_orbitals)
+        generators = uccsd_generator_paulis(exc, prob.n_spin_orbitals, "jw")
+        amp = np.zeros(1 << h.n_qubits)
+        amp[[0b0011, 0b1100]] = 1.0 / math.sqrt(2.0)
+        from qccvqe import Statevector
+
+        with pytest.raises(ValueError, match="computational-basis"):
+            optimize_uccsd(h, Statevector(h.n_qubits, amp), generators)
+
+
+class TestAnsatzComparison:
+    @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
+    def test_chain6_qcc_and_uccsd(self, load_problem, mapping):
+        # The paper's CAS(6,6) comparison on the 12-qubit stand-in: UCCSD's
+        # 117 amplitudes end within 0.1 mHa of the sector ground state, and
+        # one-generator QCC passes 1.6 mHa in at most 40 iterations.
+        h, ref, generators = uccsd_setup(load_problem, "chain6_d1.00.fcidump", 6, mapping)
+        e_fci = exact_ground(
+            h, n_electrons=6, occupation_of=occupation_decoder(mapping, h.n_qubits)
+        ).energy
+        e_uccsd, amplitudes = optimize_uccsd(h, ref, generators)
+        assert len(amplitudes) == 117
+        assert e_fci <= e_uccsd <= e_fci + 1e-4
+        cfg = QccConfig(max_iterations=40, energy_tolerance=1e-12)
+        energies = qcc_run(h, ref, cfg).energies
+        assert energies[-1] < e_fci + 1.6e-3
+        assert min(energies) >= e_fci - 1e-10
