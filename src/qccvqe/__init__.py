@@ -9,12 +9,9 @@ diagonalization oracle and a finite-shot measurement emulator alongside.
 from .pauli import (
     DEFAULT_PRUNE,
     PauliString,
-    PhasedPauli,
     QubitHamiltonian,
-    commutes,
     dress,
     dress_sequence,
-    multiply,
 )
 from .chem import (
     ActiveSpaceProblem,
@@ -26,11 +23,9 @@ from .chem import (
     cas_reduce,
     default_window,
     hf_bitstring,
-    jordan_wigner,
     map_operator,
     normalize_mapping,
     occupation_decoder,
-    parity_map,
     parse_fcidump,
     uccsd_excitations,
     uccsd_generator_paulis,
@@ -41,8 +36,6 @@ from .simulator import (
     QwcGrouping,
     ShotEstimate,
     Statevector,
-    apply_pauli,
-    apply_pauli_rotation,
     apply_rotation_sequence,
     basis_index,
     bitstring_label,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -34,8 +34,6 @@ __all__ = [
     "cas_reduce",
     "default_window",
     "build_active_hamiltonian",
-    "jordan_wigner",
-    "parity_map",
     "map_operator",
     "normalize_mapping",
     "occupation_decoder",
@@ -220,28 +218,6 @@ class ActiveSpaceProblem:
     @property
     def n_spin_orbitals(self) -> int:
         return 2 * self.n_active_orbitals
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_active_orbitals": self.n_active_orbitals,
-            "n_active_electrons": self.n_active_electrons,
-            "f_inactive": self.f_inactive.reshape(-1).tolist(),
-            "g_active": self.g_active.reshape(-1).tolist(),
-            "e_inactive": self.e_inactive,
-            "e_nuclear": self.e_nuclear,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ActiveSpaceProblem":
-        o = int(data["n_active_orbitals"])
-        return cls(
-            n_active_orbitals=o,
-            n_active_electrons=int(data["n_active_electrons"]),
-            f_inactive=np.array(data["f_inactive"], dtype=float).reshape(o, o),
-            g_active=np.array(data["g_active"], dtype=float).reshape(o, o, o, o),
-            e_inactive=float(data["e_inactive"]),
-            e_nuclear=float(data["e_nuclear"]),
-        )
 
 
 def default_window(
@@ -441,8 +417,8 @@ def _map_products(
     time: masks and phase exponent from `pauli._product`, weights c1 * c2 *
     phase, exact (+/-2^-k or +/-2^-k i). The zero-weight copies that
     padding adds change no sum. Like strings are summed in (term, factor
-    combination) order, as the loop over `multiply` sums them, so the
-    result is bit-identical to that loop.
+    combination) order, as the scalar loop `map_products` in
+    tests/reference.py sums them, so the result is bit-identical to it.
     """
     ladder = _LADDERS[normalize_mapping(mapping)]
     n = op.n_spin_orbitals
@@ -484,14 +460,6 @@ def map_operator(
             f"mapped operator has imaginary residue {residue}; input not Hermitian"
         )
     return QubitHamiltonian._from_parts(op.n_spin_orbitals, [(x, z, w.real)], prune)
-
-
-def jordan_wigner(op: FermionOperator, prune: float = DEFAULT_PRUNE) -> QubitHamiltonian:
-    return map_operator(op, "jordan_wigner", prune=prune)
-
-
-def parity_map(op: FermionOperator, prune: float = DEFAULT_PRUNE) -> QubitHamiltonian:
-    return map_operator(op, "parity", prune=prune)
 
 
 def occupation_decoder(mapping: str, n_qubits: int) -> Callable[[np.ndarray], np.ndarray]:

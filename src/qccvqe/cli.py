@@ -331,10 +331,9 @@ def uccsd(fcidump, active_electrons, n_orbitals, window, mapping, run_opt, outpu
             generators = chem.uccsd_generator_paulis(
                 exc_list, prob.n_spin_orbitals, geom.mapping
             )
-            ref = simulator.prepare_basis_state(
-                geom.hamiltonian.n_qubits, geom.reference
+            energy, amplitudes = solver.optimize_uccsd(
+                geom.hamiltonian, geom.reference, generators
             )
-            energy, amplitudes = solver.optimize_uccsd(geom.hamiltonian, ref, generators)
         except ValueError as exc:
             _die(EXIT_NUMERIC, str(exc))
         payload["optimized"] = {
@@ -459,10 +458,9 @@ def _run_geometry(
             manifest.window,
             manifest.mapping,
         )
-        ref = simulator.prepare_basis_state(geom.hamiltonian.n_qubits, geom.reference)
         trace = solver.qcc_run(
             geom.hamiltonian,
-            ref,
+            geom.reference,
             manifest.config,
             e_inactive=geom.problem.e_inactive,
             e_nuclear=geom.problem.e_nuclear,
@@ -627,6 +625,9 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
     if data.get("schema") != "qcc-trace/1":
         _die(EXIT_PARSE, f"{trace_path}: expected schema qcc-trace/1")
     trace = _parse(trace_path, QccTrace.from_json_dict, data)
+    for path in (output, curve):
+        if path is not None:
+            _check_output(path)  # a refused path must not leave the other output
     try:
         result = solver.extrapolate(
             trace, discard=discard, window=window, thresholds=thresholds

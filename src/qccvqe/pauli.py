@@ -28,10 +28,7 @@ import numpy as np
 
 __all__ = [
     "PauliString",
-    "PhasedPauli",
     "QubitHamiltonian",
-    "multiply",
-    "commutes",
     "dress",
     "dress_sequence",
     "DEFAULT_PRUNE",
@@ -45,7 +42,6 @@ DEFAULT_PRUNE = 1e-12
 # The combined sort key x << n | z of an n-qubit term must fit in 64 bits.
 HAMILTONIAN_MAX_QUBITS = 32
 
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k = 0..3
 _LETTER_OF = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _MASKS_OF = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -119,51 +115,12 @@ class PauliString:
         return f"PauliString({self.to_label()!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class PhasedPauli:
-    """A Pauli string times an exact fourth root of unity."""
-
-    phase: complex
-    string: PauliString
-
-    def __post_init__(self) -> None:
-        if self.phase not in _PHASES:
-            raise ValueError(f"phase must be a fourth root of unity, got {self.phase}")
-
-
-def _check_same_qubits(p: PauliString, q: PauliString) -> None:
-    if p.n_qubits != q.n_qubits:
-        raise ValueError(f"qubit-count mismatch: {p.n_qubits} vs {q.n_qubits}")
-
-
-def multiply(p: PauliString, q: PauliString) -> PhasedPauli:
-    """Exact product p*q.
-
-    The result masks are the XOR of the inputs; the accumulated phase is
-    i**k with k tracked mod 4 from the per-qubit letter products.
-    """
-    _check_same_qubits(p, q)
-    x = p.x_mask ^ q.x_mask
-    z = p.z_mask ^ q.z_mask
-    k = (
-        (p.x_mask & p.z_mask).bit_count()
-        + (q.x_mask & q.z_mask).bit_count()
-        + 2 * (p.z_mask & q.x_mask).bit_count()
-        - (x & z).bit_count()
-    ) % 4
-    return PhasedPauli(_PHASES[k], PauliString(p.n_qubits, x, z))
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff pq = qp (parity of the symplectic form)."""
-    _check_same_qubits(p, q)
-    return ((p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()) % 2 == 0
-
-
 def _product(px, pz, qx, qz):
-    """`multiply` on mask arrays: (x, z, k) with p q = i^k P(x, z), k in 0..3.
+    """(x, z, k) with p q = i^k P(x, z), k in 0..3, for mask arrays.
 
-    -|x&z| enters as +3|x&z|, so the uint8 sum stays in 0..255 up to 32 qubits.
+    k = |px&pz| + |qx&qz| + 2|pz&qx| - |x&z| mod 4, with -|x&z| entered as
+    +3|x&z| so the uint8 sum stays in 0..255 up to 32 qubits. The scalar
+    `multiply` in tests/reference.py is the reference it must match.
     """
     x, z = px ^ qx, pz ^ qz
     k = np.bitwise_count(px & pz) + np.bitwise_count(qx & qz)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "basis_index",
     "bitstring_label",
     "prepare_basis_state",
-    "apply_pauli",
-    "apply_pauli_rotation",
     "apply_rotation_sequence",
     "expectation",
     "MeasurementGroup",
@@ -82,14 +80,6 @@ class Statevector:
         amp = amp.copy()
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def basis_state_index(self) -> int | None:
-        """Basis index if the state is a computational-basis state, else None."""
-        hits = np.flatnonzero(np.abs(self.amplitudes) > 1e-12)
-        if hits.size == 1 and abs(abs(self.amplitudes[hits[0]]) - 1.0) < 1e-12:
-            return int(hits[0])
-        return None
 
 
 def prepare_basis_state(n_qubits: int, bits: str | int) -> Statevector:
@@ -168,35 +158,19 @@ def _indices(n_qubits: int) -> np.ndarray:
     return idx
 
 
-def _pauli_action(amp: np.ndarray, n_qubits: int, p: PauliString) -> np.ndarray:
-    """P applied to a raw amplitude array on `n_qubits` qubits."""
+def _rotation(amp: np.ndarray, n_qubits: int, p: PauliString, tau: float) -> np.ndarray:
+    """exp(-i tau P / 2) = cos(tau/2) - i sin(tau/2) P on a raw amplitude array."""
+    if not math.isfinite(tau):
+        raise ValueError(f"non-finite rotation angle {tau!r}")
     if p.n_qubits != n_qubits:
         raise ValueError(f"qubit-count mismatch: {p.n_qubits} vs {n_qubits}")
     idx = _indices(n_qubits)
-    out = _pauli_phase_vector(p.x_mask, p.z_mask, idx) * amp
+    rotated = _pauli_phase_vector(p.x_mask, p.z_mask, idx) * amp
     if p.x_mask:
-        flipped = np.empty_like(out)
-        flipped[idx ^ np.uint64(p.x_mask)] = out
-        out = flipped
-    return out
-
-
-def _rotation(amp: np.ndarray, n_qubits: int, p: PauliString, tau: float) -> np.ndarray:
-    """exp(-i tau P / 2) applied to a raw amplitude array."""
-    if not math.isfinite(tau):
-        raise ValueError(f"non-finite rotation angle {tau!r}")
-    rotated = _pauli_action(amp, n_qubits, p)
+        flipped = np.empty_like(rotated)
+        flipped[idx ^ np.uint64(p.x_mask)] = rotated
+        rotated = flipped
     return math.cos(tau / 2.0) * amp - 1j * math.sin(tau / 2.0) * rotated
-
-
-def apply_pauli(state: Statevector, p: PauliString) -> Statevector:
-    """Return P|psi> without building a matrix."""
-    return Statevector(state.n_qubits, _pauli_action(state.amplitudes, state.n_qubits, p))
-
-
-def apply_pauli_rotation(state: Statevector, p: PauliString, tau: float) -> Statevector:
-    """Return exp(-i tau P / 2)|psi> = cos(tau/2)|psi> - i sin(tau/2) P|psi>."""
-    return Statevector(state.n_qubits, _rotation(state.amplitudes, state.n_qubits, p, tau))
 
 
 def apply_rotation_sequence(
@@ -395,6 +369,7 @@ def sample_energy(
     )
 
 
+# No caller in the package; kept while perfbench/spans.py traces it by name.
 def per_group_error(estimate: ShotEstimate) -> list[tuple[int, float]]:
     """(group index, group_exact minus sampled estimate), one entry per group."""
     return [

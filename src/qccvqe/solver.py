@@ -7,10 +7,11 @@ into the Hamiltonian by conjugation so the next iteration restarts from the
 fixed reference state. A log-linear fit of successive energy differences
 extrapolates the converged energy from a finite trace.
 
-The reference is a basis state, and QCC rotations and UCCSD excitations
-each map a basis state to one partner, so every energy of either ansatz is
-the quadratic form of H's entries (the simulator's entries kernel) on the
-determinants the circuit reaches, and no 2^n vector is built.
+The reference is one determinant, given as a basis-state label (qubit 0
+leftmost). QCC rotations and UCCSD excitations each map a basis state to one
+partner, so every energy of either ansatz is the quadratic form of H's
+entries (the simulator's entries kernel) on the determinants the circuit
+reaches, and no 2^n vector is built.
 
 QCC and the UCCSD baseline share exact coordinate sweeps: each amplitude's
 energy curve, a trigonometric polynomial of degree one (QCC) or two
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .pauli import (
     QubitHamiltonian,
     dress_sequence,
 )
-from .simulator import Statevector, _entries, _pauli_phase_vector, bitstring_label
+from .simulator import _entries, _pauli_phase_vector, basis_index
 
 # Unused here; perfbench/spans.py wraps them by name until ROADMAP item 1 step 1.
 from .simulator import apply_rotation_sequence, expectation  # noqa: F401
@@ -101,28 +102,26 @@ class QccConfig:
 
 @dataclass(frozen=True)
 class CandidateGenerator:
-    """One flip-index group's representative, scored by |dE/dtau| at 0."""
+    """A flip group's representative, which flips the qubits of its x_mask,
+    scored by |dE/dtau| at 0."""
 
-    flip_set: frozenset[int]
     representative: PauliString
     gradient_magnitude: float
 
 
-def flip_representative(flip_set: Iterable[int], n_qubits: int) -> PauliString:
-    """Canonical odd-Y-count member of a flip group: Y at min, X elsewhere."""
-    x_mask = sum(1 << q for q in set(flip_set))
+def flip_representative(x_mask: int, n_qubits: int) -> PauliString:
+    """Canonical odd-Y-count member of the group flipping the qubits of
+    x_mask: Y on the lowest flipped qubit, X on the others."""
     if not x_mask:
-        raise ValueError("flip set must be non-empty")
+        raise ValueError("flip mask must be non-zero")
     return PauliString(n_qubits, x_mask, x_mask & -x_mask)
 
 
-def _basis_index_of(ref: Statevector, n_qubits: int) -> int:
-    if n_qubits != ref.n_qubits:
-        raise ValueError(f"qubit-count mismatch: {n_qubits} vs {ref.n_qubits}")
-    index = ref.basis_state_index
-    if index is None:
-        raise ValueError("reference must be a computational-basis state")
-    return index
+def _reference_index(reference: str, n_qubits: int) -> int:
+    """Basis index of a reference label, which needs one 0/1 bit per qubit."""
+    if len(reference) != n_qubits:
+        raise ValueError(f"reference {reference!r} does not have {n_qubits} bits")
+    return basis_index(reference)
 
 
 def _circuit_energy(
@@ -168,21 +167,19 @@ def _circuit_energy(
     return energy
 
 
-def screen_generators(
-    h: QubitHamiltonian, ref: Statevector
-) -> list[CandidateGenerator]:
+def screen_generators(h: QubitHamiltonian, reference: str) -> list[CandidateGenerator]:
     """Rank flip-index groups by exact zero-amplitude energy gradient.
 
-    For a basis reference |b> and representative R of flip set F, only the
-    Hamiltonian terms sharing F contribute to dE/dtau at tau = 0, which is
-    Im<b|P R|b> for their sum P = sum_k c_k P_k. With P_k|b> = phi_k |b ^ x>
-    and R|b> = phi_R |b ^ x>, that is Im(phi_R * conj(sum_k c_k phi_k)), so
-    one phase per term and one sum per x-mask give every gradient. Groups
-    with zero gradient are dropped; the rest are sorted by descending
-    magnitude rounded to a multiple of GRAD_EPS, ties broken by canonical
-    string order.
+    For the reference label's basis state |b> and the representative R of
+    flip mask x, only the Hamiltonian terms flipping x contribute to dE/dtau
+    at tau = 0, which is Im<b|P R|b> for their sum P = sum_k c_k P_k. With
+    P_k|b> = phi_k |b ^ x> and R|b> = phi_R |b ^ x>, that is
+    Im(phi_R * conj(sum_k c_k phi_k)), so one phase per term and one sum per
+    x-mask give every gradient. Groups with zero gradient are dropped; the
+    rest are sorted by descending magnitude rounded to a multiple of
+    GRAD_EPS, ties broken by canonical string order.
     """
-    b = np.uint64(_basis_index_of(ref, h.n_qubits))
+    b = np.uint64(_reference_index(reference, h.n_qubits))
     flips = h.x != 0
     column = h.coeff[flips] * _pauli_phase_vector(h.x[flips], h.z[flips], b)
     x_masks, group = np.unique(h.x[flips], return_inverse=True)
@@ -193,9 +190,8 @@ def screen_generators(
     candidates: list[CandidateGenerator] = []
     for x_mask, grad in zip(x_masks.tolist(), grads.tolist()):
         if abs(grad) > GRAD_EPS:
-            flip_set = frozenset(q for q in range(h.n_qubits) if (x_mask >> q) & 1)
-            rep = flip_representative(flip_set, h.n_qubits)
-            candidates.append(CandidateGenerator(flip_set, rep, abs(grad)))
+            rep = flip_representative(x_mask, h.n_qubits)
+            candidates.append(CandidateGenerator(rep, abs(grad)))
     candidates.sort(
         key=lambda c: (-round(c.gradient_magnitude / GRAD_EPS), c.representative.key())
     )
@@ -245,10 +241,8 @@ def _coordinate_sweeps(n: int, energy, step) -> tuple[float, list[float]]:
     (one amplitude needs one) or after _MAX_SWEEPS. A flat curve (swing <=
     GRAD_EPS) keeps its amplitude, since the angle of rounding noise would
     unsettle the others. The zero point wins if nothing is lower; amplitudes
-    are returned in [-pi, pi].
+    are returned in [-pi, pi]. With no amplitudes, the result is (E([]), []).
     """
-    if not n:
-        raise ValueError("no generators to optimize")
     taus = [0.0] * n
     e_zero = e_cur = energy(taus)
     for _ in range(_MAX_SWEEPS):
@@ -269,15 +263,16 @@ def _coordinate_sweeps(n: int, energy, step) -> tuple[float, list[float]]:
 
 def optimize_amplitudes(
     h: QubitHamiltonian,
-    ref: Statevector,
+    reference: str,
     generators: Sequence[PauliString],
 ) -> tuple[float, list[float]]:
     """Minimize the circuit energy over the amplitudes by Rotosolve sweeps.
 
-    The reference must be a basis state: energies come from the <= 2^k
-    states the circuit reaches. The result never exceeds the input energy.
+    Energies come from the <= 2^k basis states that the circuit reaches
+    from the reference label's. The result never exceeds the reference
+    energy, which it is for an empty generator list.
     """
-    b = _basis_index_of(ref, h.n_qubits)
+    b = _reference_index(reference, h.n_qubits)
     # exp(-i tau P / 2) is exp(i t P) at t = -tau / 2; the last generator acts first
     energy = _circuit_energy(h, b, [[(p, 1.0)] for p in reversed(generators)])
     return _coordinate_sweeps(
@@ -375,12 +370,12 @@ class QccTrace:
 
 def qcc_run(
     h0: QubitHamiltonian,
-    ref: Statevector,
+    reference: str,
     cfg: QccConfig | None = None,
     e_inactive: float = 0.0,
     e_nuclear: float = 0.0,
 ) -> QccTrace:
-    """Run the screen / optimize / dress loop from a basis-state reference.
+    """Run the screen / optimize / dress loop from a basis-state label.
 
     Each iteration screens flip groups, optimizes amplitudes for the top
     generators, and folds the rotations into the Hamiltonian. An iteration
@@ -388,22 +383,23 @@ def qcc_run(
     the run reports converged, so recorded iterations all gained at least
     the tolerance. Exhausting the iteration budget or finding no flip group
     with a nonzero gradient also stops the loop. The recorded energy of
-    each iteration is <ref|H_dressed|ref>, the diagonal sum of H_dressed.
+    each iteration is <b|H_dressed|b> for the reference's basis state |b>,
+    the diagonal sum of H_dressed.
     """
     cfg = cfg or QccConfig()
-    b = _basis_index_of(ref, h0.n_qubits)
+    b = _reference_index(reference, h0.n_qubits)
     h = h0
     initial_energy = e_prev = _circuit_energy(h, b, [])([])
     records: list[IterationRecord] = []
     converged = False
     for _ in range(cfg.max_iterations):
-        candidates = screen_generators(h, ref)
+        candidates = screen_generators(h, reference)
         if not candidates:
             converged = True
             break
         top = candidates[: cfg.generators_per_iteration]
         generators = [c.representative for c in top]
-        e_opt, taus = optimize_amplitudes(h, ref, generators)
+        e_opt, taus = optimize_amplitudes(h, reference, generators)
         if e_prev - e_opt < cfg.energy_tolerance:
             converged = True
             break
@@ -421,7 +417,7 @@ def qcc_run(
         e_prev = energy
     return QccTrace(
         n_qubits=h0.n_qubits,
-        reference=bitstring_label(b, h0.n_qubits),
+        reference=reference,
         iterations=tuple(records),
         initial_energy=initial_energy,
         final_energy=records[-1].energy if records else initial_energy,
@@ -496,10 +492,10 @@ def extrapolate(
     diffs = np.array(
         [energies[i - 1] - energies[i] for i in range(first, last + 1)]
     )
-    bad = [int(i) for i, d in zip(iters, diffs) if d <= 0.0]
+    bad = [int(i) for i, d in zip(iters, diffs) if not 0.0 < d < math.inf]  # NaN too
     if bad:
         raise ExtrapolationError(
-            "energy differences must be strictly positive in the fit window", bad
+            "energy differences must be strictly positive and finite in the fit window", bad
         )
     y = np.log10(diffs)
     a, c = np.polyfit(iters, y, 1)
@@ -523,7 +519,7 @@ def extrapolate(
 
 def optimize_uccsd(
     h: QubitHamiltonian,
-    ref: Statevector,
+    reference: str,
     generator_terms: Sequence[Sequence[tuple[PauliString, float]]],
 ) -> tuple[float, list[float]]:
     """Variationally optimize single-Trotter-step excitation amplitudes.
@@ -533,7 +529,8 @@ def optimize_uccsd(
     amplitudes in list order. A generator's terms commute and their sum G
     satisfies G^3 = G, so the energy along one amplitude is an exact
     two-harmonic curve; the amplitudes are swept coordinate by coordinate
-    like optimize_amplitudes, five evaluations per exact update.
+    like optimize_amplitudes, five evaluations per exact update. The
+    circuit starts from the reference label's basis state.
     """
-    energy = _circuit_energy(h, _basis_index_of(ref, h.n_qubits), generator_terms)
+    energy = _circuit_energy(h, _reference_index(reference, h.n_qubits), generator_terms)
     return _coordinate_sweeps(len(generator_terms), energy, _two_harmonic_step)

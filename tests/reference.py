@@ -4,12 +4,13 @@ Everything here deliberately avoids the package's bitmask arithmetic:
 operators are built from Kronecker products of explicit 2x2 matrices,
 unitaries from scipy.linalg.expm, and fermionic matrices from direct
 ladder-operator action on occupation bitstrings. Agreement between these
-routes and the package is what the tests assert. The exceptions are
-`dress_terms` and `map_products`, the term-by-term loops over the package's
-scalar `commutes` and `multiply` that the array `dress` and the array
-fermion-to-qubit map must match bit for bit, and the shot pass's earlier
-kernels: the `einsum` basis-change gate, the first-fit grouping over
-`PauliString` objects, and `sample_energy` built from those two. The
+routes and the package is what the tests assert. The exceptions are the
+scalar Pauli algebra `multiply` and `commutes` on one pair of strings;
+`dress_terms` and `map_products`, the term-by-term loops over them that the
+array `dress` and the array fermion-to-qubit map must match bit for bit;
+and the shot pass's earlier kernels: the `einsum` basis-change gate, the
+first-fit grouping over `PauliString` objects, and `sample_energy` built
+from those two. The
 package's elementwise basis change must give equal amplitudes, its
 mask-level grouping the same partition, and its shot pass an equal
 `ShotEstimate` for the same seed. `expectation` is the earlier per-term
@@ -20,9 +21,12 @@ entries kernel, which lists the matrix entries on the state's support.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+
+from qccvqe import PauliString
 
 SINGLE = {
     "I": np.eye(2, dtype=np.complex128),
@@ -177,14 +181,56 @@ def expectation(state, h) -> float:
     return float(total.real)
 
 
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k = 0..3
+
+
+@dataclass(frozen=True, slots=True)
+class PhasedPauli:
+    """A Pauli string times an exact fourth root of unity."""
+
+    phase: complex
+    string: PauliString
+
+    def __post_init__(self) -> None:
+        if self.phase not in _PHASES:
+            raise ValueError(f"phase must be a fourth root of unity, got {self.phase}")
+
+
+def _check_same_qubits(p: PauliString, q: PauliString) -> None:
+    if p.n_qubits != q.n_qubits:
+        raise ValueError(f"qubit-count mismatch: {p.n_qubits} vs {q.n_qubits}")
+
+
+def multiply(p: PauliString, q: PauliString) -> PhasedPauli:
+    """Exact product p*q.
+
+    The result masks are the XOR of the inputs; the accumulated phase is
+    i**k with k tracked mod 4 from the per-qubit letter products.
+    """
+    _check_same_qubits(p, q)
+    x = p.x_mask ^ q.x_mask
+    z = p.z_mask ^ q.z_mask
+    k = (
+        (p.x_mask & p.z_mask).bit_count()
+        + (q.x_mask & q.z_mask).bit_count()
+        + 2 * (p.z_mask & q.x_mask).bit_count()
+        - (x & z).bit_count()
+    ) % 4
+    return PhasedPauli(_PHASES[k], PauliString(p.n_qubits, x, z))
+
+
+def commutes(p: PauliString, q: PauliString) -> bool:
+    """True iff pq = qp (parity of the symplectic form)."""
+    _check_same_qubits(p, q)
+    return ((p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()) % 2 == 0
+
+
 def dress_terms(h, p, tau: float, prune: float) -> list[tuple[tuple[int, int], float]]:
     """Term-by-term exp(+i tau p/2) H exp(-i tau p/2) as sorted ((x, z), c) pairs.
 
     Each anticommuting term C*Q becomes C*cos(tau)*Q + C*sin(tau)*(i p Q);
     like terms are summed in a dict starting from 0.0 and |c| < prune dropped.
     """
-    from qccvqe import commutes, multiply
-
     c, s = math.cos(tau), math.sin(tau)
     out: dict = {}
     for q, coeff in h.items():
@@ -206,7 +252,6 @@ def map_products(op, mapping: str) -> dict:
     the scalar `multiply`; like strings are summed in a dict from 0j in
     (term, factor combination) order.
     """
-    from qccvqe import PauliString, multiply
     from qccvqe.chem import _LADDERS, normalize_mapping
 
     ladder = _LADDERS[normalize_mapping(mapping)]

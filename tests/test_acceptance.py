@@ -20,6 +20,7 @@ from qccvqe.oracle import exact_ground, to_dense
 from qccvqe.pauli import PauliString, QubitHamiltonian, dress_sequence
 from qccvqe.simulator import (
     apply_rotation_sequence,
+    bitstring_label,
     expectation,
     group_qwc,
     prepare_basis_state,
@@ -80,9 +81,8 @@ class TestCriterion2:
         ok = True
         for name in DIMER_FIXTURES:
             prob, h, ref_label = build_problem(name, 2, 2)
-            ref = prepare_basis_state(h.n_qubits, ref_label)
             cfg = QccConfig(generators_per_iteration=1, max_iterations=20)
-            trace = qcc_run(h, ref, cfg)
+            trace = qcc_run(h, ref_label, cfg)
             exact = sector_ground(h, 2).energy
             err = abs(trace.final_energy - exact)
             one_iter = len(trace.iterations) == 1
@@ -98,9 +98,8 @@ class TestCriterion3:
     def test_eight_qubit_fixture_reaches_chemical_accuracy(self):
         start = time.monotonic()
         prob, h, ref_label = build_problem("chain4_d1.00.fcidump", 4, 4)
-        ref = prepare_basis_state(h.n_qubits, ref_label)
         cfg = QccConfig(generators_per_iteration=1, max_iterations=10)
-        trace = qcc_run(h, ref, cfg)
+        trace = qcc_run(h, ref_label, cfg)
         exact = sector_ground(h, 4).energy
         errors = [abs(e - exact) for e in trace.energies[1:]]
         first_ok = next(
@@ -129,7 +128,7 @@ class TestCriterion4:
             h = reference.random_hamiltonian(rng, n, n_terms=int(rng.integers(4, 10)))
             index = int(rng.integers(0, 2**n))
             ref = prepare_basis_state(n, index)
-            candidates = screen_generators(h, ref)
+            candidates = screen_generators(h, bitstring_label(index, n))
             h_mat = reference.ham_matrix(h)
             vec = ref.amplitudes
             for cand in candidates:
@@ -231,9 +230,10 @@ class TestCriterion7:
             h = reference.random_hamiltonian(rng, n, n_terms=int(rng.integers(3, 8)))
             index = int(rng.integers(0, 2**n))
             ref = prepare_basis_state(n, index)
-            candidates = screen_generators(h, ref)
+            candidates = screen_generators(h, bitstring_label(index, n))
             for cand in candidates:
-                flips = sorted(cand.flip_set)
+                x_mask = cand.representative.x_mask
+                flips = [q for q in range(n) if (x_mask >> q) & 1]
                 members = odd_y_members(flips, n)
                 grads = [
                     abs(analytic_gradient(h, ref, m)) for m in members
@@ -328,7 +328,7 @@ class TestCriterion9:
         start = time.monotonic()
         prob, h, ref_label = build_problem("dimer_d1.00.fcidump", 2, 2)
         ref = prepare_basis_state(h.n_qubits, ref_label)
-        trace = qcc_run(h, ref, QccConfig())
+        trace = qcc_run(h, ref_label, QccConfig())
         state = apply_rotation_sequence(ref, trace.all_generators)
         grouping = group_qwc(h)
         exact = expectation(state, h)
@@ -390,13 +390,12 @@ class TestCriterion11:
     def test_batched_generators_converge_consistently(self):
         start = time.monotonic()
         prob, h, ref_label = build_problem("dimer_d1.00.fcidump", 2, 2)
-        ref = prepare_basis_state(h.n_qubits, ref_label)
         exact = sector_ground(h, 2).energy
         term_counts = {}
         errors = {}
         for n_gen in (1, 2, 4):
             cfg = QccConfig(generators_per_iteration=n_gen, max_iterations=20)
-            trace = qcc_run(h, ref, cfg)
+            trace = qcc_run(h, ref_label, cfg)
             errors[n_gen] = abs(trace.final_energy - exact)
             term_counts[n_gen] = (
                 trace.iterations[-1].term_count if trace.iterations else len(h)

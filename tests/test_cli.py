@@ -1,5 +1,6 @@
 """End-to-end command-line checks through click's test runner."""
 
+import ast
 import csv
 import importlib.util
 import json
@@ -329,6 +330,19 @@ class TestUccsd:
             dimer_total_energy(1.0), abs=1e-6
         )
         assert len(payload["optimized"]["amplitudes"]) == 3
+
+    @pytest.mark.parametrize("electrons", ["0", "2"])
+    def test_optimize_without_excitations_keeps_reference(
+        self, runner, fixtures_dir, electrons
+    ):
+        # one active orbital, empty or full: no excitation, and the reference
+        # determinant is the sector ground state
+        args = [str(fixtures_dir / "dimer_d1.00.fcidump"), "-e", electrons, "-o", "1"]
+        payload = json.loads(run_checked(runner, ["uccsd", *args, "--optimize"]).output)
+        fci = json.loads(run_checked(runner, ["fci", *args]).output)
+        assert payload["parameter_count"] == 0
+        assert payload["optimized"]["amplitudes"] == []
+        assert payload["optimized"]["e_active"] == fci["e_active"]
 
 
 class TestQcc:
@@ -847,11 +861,33 @@ class TestExtrapolateCommand:
 
     def test_flat_trace_exits_numeric(self, runner, tmp_path):
         energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
-        energies[20] = energies[19]
+        # a flat step, a NaN energy, and an infinite drop at the fit window's end
+        for i, value in ((20, energies[19]), (20, math.nan), (40, -math.inf)):
+            path = self.make_trace(tmp_path, energies[:i] + [value] + energies[i + 1:])
+            result = runner.invoke(main, ["extrapolate", str(path)])
+            assert result.exit_code == 3, result.output
+            assert "strictly positive" in result.output
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            ["--curve", "."],
+            ["--curve", "afile/x.csv"],
+            # a writable --output must not be written when --curve is refused
+            ["--output", "good.json", "--curve", "afile/x.csv"],
+        ],
+        ids="-".join,
+    )
+    def test_unwritable_output_exits_config(self, runner, tmp_path, outputs):
+        energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
         path = self.make_trace(tmp_path, energies)
-        result = runner.invoke(main, ["extrapolate", str(path)])
-        assert result.exit_code == 3, result.output
-        assert "strictly positive" in result.output
+        (tmp_path / "afile").write_text("kept\n")
+        before = tree(tmp_path)
+        paths = [a if a.startswith("--") else str(tmp_path / a) for a in outputs]
+        result = runner.invoke(main, ["extrapolate", str(path), *paths])
+        assert result.exit_code == 4, result.output
+        assert "cannot write" in result.output
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -1101,6 +1137,21 @@ class TestVersion:
     def test_version_flag(self, runner):
         result = run_checked(runner, ["--version"])
         assert f"qccvqe, version {qccvqe.__version__}" in result.output
+
+
+class TestExports:
+    def test_exports_resolve(self):
+        # each __all__ name exists, and the package imports only exported names
+        init = Path(qccvqe.__file__)
+        for module in sorted(init.parent.glob("*.py")):
+            name = "qccvqe" if module.stem == "__init__" else f"qccvqe.{module.stem}"
+            mod = importlib.import_module(name)
+            missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
+            assert missing == [], name
+        for node in ast.parse(init.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.module:
+                exported = importlib.import_module(f"qccvqe.{node.module}").__all__
+                assert {a.name for a in node.names} <= set(exported), node.module
 
 
 class TestImport:

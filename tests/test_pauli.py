@@ -11,20 +11,17 @@ from hypothesis import strategies as st
 from qccvqe import (
     DEFAULT_PRUNE,
     PauliString,
-    PhasedPauli,
     QccConfig,
     QubitHamiltonian,
-    commutes,
     dress,
     dress_sequence,
-    multiply,
-    prepare_basis_state,
     qcc_run,
     to_dense,
 )
 from qccvqe.pauli import HAMILTONIAN_MAX_QUBITS
 
 import reference
+from reference import PhasedPauli, commutes, multiply
 
 RNG_SEED = 20240817
 
@@ -302,7 +299,7 @@ class TestDress:
     ):
         _, h, ref = load_problem(name, 4, 4, mapping)
         cfg = QccConfig(max_iterations=12)
-        trace = qcc_run(h, prepare_basis_state(h.n_qubits, ref), cfg)
+        trace = qcc_run(h, ref, cfg)
         assert len(trace.iterations) == 12
         for p, tau in trace.all_generators:
             expected = hexed(reference.dress_terms(h, p, tau, DEFAULT_PRUNE))

@@ -12,8 +12,6 @@ from qccvqe import (
     PauliString,
     QubitHamiltonian,
     Statevector,
-    apply_pauli,
-    apply_pauli_rotation,
     apply_rotation_sequence,
     basis_index,
     bitstring_label,
@@ -50,7 +48,7 @@ class TestBasisStates:
         a = prepare_basis_state(3, "010")
         b = prepare_basis_state(3, 2)
         assert np.array_equal(a.amplitudes, b.amplitudes)
-        assert a.basis_state_index == 2
+        assert np.flatnonzero(a.amplitudes).tolist() == [2]
 
     def test_prepare_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -73,10 +71,6 @@ class TestBasisStates:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
-    def test_basis_state_index_none_for_superposition(self):
-        rng = np.random.default_rng(RNG_SEED)
-        assert random_state(rng, 3).basis_state_index is None
-
 
 class TestPauliAction:
     def test_apply_pauli_matches_matrix(self):
@@ -85,9 +79,10 @@ class TestPauliAction:
             n = int(rng.integers(1, 6))
             state = random_state(rng, n)
             label = reference.random_label(rng, n)
-            out = apply_pauli(state, PauliString.from_label(label))
+            # exp(-i pi P / 2) = -i P
+            out = apply_rotation_sequence(state, [(PauliString.from_label(label), math.pi)])
             expected = reference.label_matrix(label) @ state.amplitudes
-            assert np.allclose(out.amplitudes, expected, atol=1e-12)
+            assert np.allclose(1j * out.amplitudes, expected, atol=1e-12)
 
     def test_rotation_matches_expm(self):
         rng = np.random.default_rng(RNG_SEED + 2)
@@ -96,7 +91,7 @@ class TestPauliAction:
             state = random_state(rng, n)
             label = reference.random_label(rng, n)
             tau = float(rng.uniform(-math.pi, math.pi))
-            out = apply_pauli_rotation(state, PauliString.from_label(label), tau)
+            out = apply_rotation_sequence(state, [(PauliString.from_label(label), tau)])
             u = reference.rotation_matrix(reference.label_matrix(label), tau)
             assert np.allclose(out.amplitudes, u @ state.amplitudes, atol=1e-12)
 
@@ -120,9 +115,7 @@ class TestPauliAction:
         state = prepare_basis_state(2, 0)
         xx = PauliString.from_label("XX")
         with pytest.raises(ValueError):
-            apply_pauli(state, PauliString.from_label("X"))
-        with pytest.raises(ValueError):
-            apply_pauli_rotation(state, xx, math.inf)
+            apply_rotation_sequence(state, [(xx, math.inf)])
         with pytest.raises(ValueError, match="qubit-count mismatch"):
             apply_rotation_sequence(state, [(xx, 0.3), (PauliString.from_label("X"), 0.1)])
         with pytest.raises(ValueError, match="non-finite rotation angle"):
@@ -139,8 +132,8 @@ class TestPauliAction:
                 for tau in rng.uniform(-math.pi, math.pi, int(rng.integers(0, 12)))
             ]
             folded = state
-            for p, tau in reversed(pairs):
-                folded = apply_pauli_rotation(folded, p, tau)
+            for pair in reversed(pairs):
+                folded = apply_rotation_sequence(folded, [pair])
             out = apply_rotation_sequence(state, pairs)
             assert isinstance(out, Statevector)
             assert np.max(np.abs(out.amplitudes - folded.amplitudes)) < 1e-12

@@ -18,6 +18,8 @@ from qccvqe import (
     QccTrace,
     QubitHamiltonian,
     apply_rotation_sequence,
+    basis_index,
+    bitstring_label,
     dress_sequence,
     exact_ground,
     expectation,
@@ -41,9 +43,14 @@ from test_pauli import PROPERTY
 RNG_SEED = 20241002
 
 
-def circuit_energy(h, ref, generator, tau):
-    state = apply_rotation_sequence(ref, [(generator, tau)])
-    return expectation(state, h)
+def circuit_energy(h, label, generator, tau):
+    """<psi|H|psi> for one rotation of the label's dense basis state."""
+    state = prepare_basis_state(h.n_qubits, label)
+    return expectation(apply_rotation_sequence(state, [(generator, tau)]), h)
+
+
+def flip_mask(qubits):
+    return sum(1 << int(q) for q in qubits)
 
 
 @st.composite
@@ -80,33 +87,36 @@ def circuit_cases(draw):
     return h, draw(st.integers(0, (1 << n) - 1)), generators, ts, pairs
 
 
+# Not one 0/1 bit per qubit of a two-qubit sum; "1" alone would name index 1.
+BAD_LABELS = ("1", "100", "1x", "")
+
+
 class TestScreening:
     def test_representative_shape(self):
-        rep = flip_representative({3, 1, 5}, 6)
+        rep = flip_representative(flip_mask({3, 1, 5}), 6)
         assert rep.to_label() == "IYIXIX"
         with pytest.raises(ValueError):
-            flip_representative([], 4)
+            flip_representative(0, 4)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(10):
             n = int(rng.integers(2, 6))
             h = reference.random_hamiltonian(rng, n, 12)
-            ref = prepare_basis_state(n, int(rng.integers(0, 1 << n)))
+            ref = bitstring_label(int(rng.integers(0, 1 << n)), n)
             candidates = screen_generators(h, ref)
             screened = set()
             for cand in candidates:
-                screened.add(cand.flip_set)
+                screened.add(cand.representative.x_mask)
                 fd = reference.centered_difference(
                     lambda t, g=cand.representative: circuit_energy(h, ref, g, t)
                 )
                 assert cand.gradient_magnitude == pytest.approx(abs(fd), abs=1e-6)
             # groups the screen dropped must have a vanishing derivative
             for x_mask in np.unique(h.x).tolist():
-                fset = frozenset(q for q in range(n) if (x_mask >> q) & 1)
-                if not fset or fset in screened:
+                if not x_mask or x_mask in screened:
                     continue
-                rep = flip_representative(fset, n)
+                rep = flip_representative(x_mask, n)
                 fd = reference.centered_difference(
                     lambda t: circuit_energy(h, ref, rep, t)
                 )
@@ -114,8 +124,7 @@ class TestScreening:
 
     def test_sorted_by_magnitude_then_key(self):
         h = QubitHamiltonian.from_labels({"XZ": 0.25, "ZX": 0.25, "YI": 0.5})
-        ref = prepare_basis_state(2, 0)
-        candidates = screen_generators(h, ref)
+        candidates = screen_generators(h, "00")
         mags = [c.gradient_magnitude for c in candidates]
         assert mags == sorted(mags, reverse=True)
         equal = [c for c in candidates if c.gradient_magnitude == pytest.approx(0.25)]
@@ -126,23 +135,19 @@ class TestScreening:
         # both gradients are 0.3 in exact arithmetic; IY's sum rounds to
         # 0.30000000000000004, which must not put it ahead of YI
         h = QubitHamiltonian.from_labels({"XI": 0.3, "IX": 0.1, "ZX": 0.2, "ZZ": 1.0})
-        candidates = screen_generators(h, prepare_basis_state(2, 0))
+        candidates = screen_generators(h, "00")
         labels = [c.representative.to_label() for c in candidates]
         assert labels == ["YI", "IY"]
 
     def test_diagonal_hamiltonian_has_no_candidates(self):
         h = QubitHamiltonian.from_labels({"ZZ": 1.0, "ZI": 0.5, "II": -2.0})
-        assert screen_generators(h, prepare_basis_state(2, 0)) == []
+        assert screen_generators(h, "00") == []
 
     def test_requires_basis_reference(self):
         h = QubitHamiltonian.from_labels({"XX": 1.0})
-        rng = np.random.default_rng(RNG_SEED + 1)
-        amp = rng.normal(size=4) + 1j * rng.normal(size=4)
-        from qccvqe import Statevector
-
-        state = Statevector(2, amp / np.linalg.norm(amp))
-        with pytest.raises(ValueError):
-            screen_generators(h, state)
+        for label in BAD_LABELS:
+            with pytest.raises(ValueError):
+                screen_generators(h, label)
 
 
 class TestCircuitEnergy:
@@ -169,7 +174,7 @@ class TestOptimize:
     def test_single_generator_analytic_minimum(self):
         # E(tau) = cos(tau) - 0.5 sin(tau) has minimum -sqrt(1.25)
         h = QubitHamiltonian.from_labels({"Z": 1.0, "X": 0.5})
-        ref = prepare_basis_state(1, 0)
+        ref = "0"
         gen = screen_generators(h, ref)[0].representative
         energy, taus = optimize_amplitudes(h, ref, [gen])
         assert energy == pytest.approx(-math.sqrt(1.25), abs=1e-10)
@@ -183,12 +188,12 @@ class TestOptimize:
         rng = np.random.default_rng(RNG_SEED + 2)
         for n_gen in (1, 2):
             h = reference.random_hamiltonian(rng, 3, 10)
-            ref = prepare_basis_state(3, 5)
+            ref = bitstring_label(5, 3)
             gens = [
-                flip_representative({0}, 3),
-                flip_representative({1, 2}, 3),
+                flip_representative(flip_mask({0}), 3),
+                flip_representative(flip_mask({1, 2}), 3),
             ][:n_gen]
-            e_zero = expectation(ref, h)
+            e_zero = expectation(prepare_basis_state(3, ref), h)
             energy, taus = optimize_amplitudes(h, ref, gens)
             assert energy <= e_zero + 1e-12
             assert len(taus) == n_gen
@@ -198,8 +203,8 @@ class TestOptimize:
             {"ZI": 0.8, "IZ": 0.6, "XX": 0.4, "YI": 0.3}
         )
         ref = prepare_basis_state(2, 0)
-        gens = [flip_representative({0, 1}, 2), flip_representative({0}, 2)]
-        energy, taus = optimize_amplitudes(h, ref, gens)
+        gens = [flip_representative(0b11, 2), flip_representative(0b01, 2)]
+        energy, taus = optimize_amplitudes(h, "00", gens)
         exact = exact_ground(h).energy
         e_zero = expectation(ref, h)
         assert exact - 1e-10 <= energy <= e_zero + 1e-12
@@ -208,17 +213,15 @@ class TestOptimize:
         assert expectation(state, h) == pytest.approx(energy, abs=1e-12)
 
     def test_empty_generator_list_rejected(self):
-        h = QubitHamiltonian.from_labels({"Z": 1.0})
-        with pytest.raises(ValueError):
-            optimize_amplitudes(h, prepare_basis_state(1, 0), [])
+        # no generators leave the reference energy <0|H|0>, not an error
+        h = QubitHamiltonian.from_labels({"Z": 1.0, "X": 0.5})
+        assert optimize_amplitudes(h, "0", []) == (1.0, [])
 
     def test_requires_basis_reference(self):
         h = QubitHamiltonian.from_labels({"XX": 1.0, "ZI": 0.5})
-        amp = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)
-        from qccvqe import Statevector
-
-        with pytest.raises(ValueError, match="computational-basis"):
-            optimize_amplitudes(h, Statevector(2, amp), [flip_representative({0}, 2)])
+        for label in BAD_LABELS:
+            with pytest.raises(ValueError):
+                optimize_amplitudes(h, label, [flip_representative(0b01, 2)])
 
     def test_single_generator_beats_a_fine_grid(self):
         rng = np.random.default_rng(RNG_SEED + 3)
@@ -226,9 +229,9 @@ class TestOptimize:
         for _ in range(10):
             n = int(rng.integers(2, 5))
             h = reference.random_hamiltonian(rng, n, 12)
-            ref = prepare_basis_state(n, int(rng.integers(0, 1 << n)))
+            ref = bitstring_label(int(rng.integers(0, 1 << n)), n)
             flips = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-            gen = flip_representative({int(q) for q in flips}, n)
+            gen = flip_representative(flip_mask(flips), n)
             energy, taus = optimize_amplitudes(h, ref, [gen])
             grid_min = min(circuit_energy(h, ref, gen, t) for t in grid)
             assert energy <= grid_min + 1e-12
@@ -244,8 +247,8 @@ class TestOptimize:
         cases = [
             (
                 QubitHamiltonian.from_labels({"XX": 1.0}),
-                prepare_basis_state(2, 0),
-                [flip_representative({0}, 2), flip_representative({1}, 2)],
+                "00",
+                [flip_representative(0b01, 2), flip_representative(0b10, 2)],
             )
         ]
         for n_gen in (2, 3, 2, 3, 2, 3):
@@ -257,12 +260,14 @@ class TestOptimize:
             cases.append(
                 (
                     reference.random_hamiltonian(rng, n, 16),
-                    prepare_basis_state(n, int(rng.integers(0, 1 << n))),
-                    [flip_representative(f, n) for f in sorted(flip_sets, key=sorted)],
+                    bitstring_label(int(rng.integers(0, 1 << n)), n),
+                    [flip_representative(flip_mask(f), n)
+                     for f in sorted(flip_sets, key=sorted)],
                 )
             )
-        for h, ref, gens in cases:
-            energy, taus = optimize_amplitudes(h, ref, gens)
+        for h, label, gens in cases:
+            energy, taus = optimize_amplitudes(h, label, gens)
+            ref = prepare_basis_state(h.n_qubits, label)
             assert energy <= expectation(ref, h) + 1e-12
             for j in range(len(gens)):
 
@@ -278,7 +283,7 @@ class TestOptimize:
 class TestQccRun:
     def test_diagonal_input_converges_immediately(self):
         h = QubitHamiltonian.from_labels({"ZZ": 1.0, "IZ": -0.5})
-        trace = qcc_run(h, prepare_basis_state(2, 0))
+        trace = qcc_run(h, "00")
         assert trace.converged
         assert len(trace.iterations) == 0
         assert trace.final_energy == trace.initial_energy
@@ -286,9 +291,8 @@ class TestQccRun:
 
     def test_dimer_fixture_converges_in_one_iteration(self, dimer_problem):
         prob, h, ref_label = dimer_problem
-        ref = prepare_basis_state(h.n_qubits, ref_label)
         trace = qcc_run(
-            h, ref, e_inactive=prob.e_inactive, e_nuclear=prob.e_nuclear
+            h, ref_label, e_inactive=prob.e_inactive, e_nuclear=prob.e_nuclear
         )
         assert trace.converged
         assert len(trace.iterations) == 1
@@ -303,9 +307,8 @@ class TestQccRun:
 
     def test_recorded_iterations_gain_at_least_the_tolerance(self, chain4_problem):
         prob, h, ref_label = chain4_problem
-        ref = prepare_basis_state(h.n_qubits, ref_label)
         cfg = QccConfig(max_iterations=4, energy_tolerance=1e-6)
-        trace = qcc_run(h, ref, cfg)
+        trace = qcc_run(h, ref_label, cfg)
         assert len(trace.iterations) == 4
         energies = trace.energies
         for before, after in zip(energies, energies[1:]):
@@ -319,7 +322,7 @@ class TestQccRun:
         _, h, ref_label = chain4_problem
         ref = prepare_basis_state(h.n_qubits, ref_label)
         cfg = QccConfig(max_iterations=6)
-        trace = qcc_run(h, ref, cfg)
+        trace = qcc_run(h, ref_label, cfg)
         assert trace.initial_energy == pytest.approx(expectation(ref, h), abs=1e-10)
         dressed = h
         for record in trace.iterations:
@@ -330,8 +333,7 @@ class TestQccRun:
 
     def test_trace_json_round_trip(self, dimer_problem):
         prob, h, ref_label = dimer_problem
-        ref = prepare_basis_state(h.n_qubits, ref_label)
-        trace = qcc_run(h, ref, e_inactive=prob.e_inactive, e_nuclear=prob.e_nuclear)
+        trace = qcc_run(h, ref_label, e_inactive=prob.e_inactive, e_nuclear=prob.e_nuclear)
         payload = trace.to_json_dict()
         assert payload["schema"] == "qcc-trace/1"
         again = QccTrace.from_json_dict(json.loads(json.dumps(payload)))
@@ -339,8 +341,7 @@ class TestQccRun:
 
     def test_energies_and_generators_views(self, dimer_problem):
         _, h, ref_label = dimer_problem
-        ref = prepare_basis_state(h.n_qubits, ref_label)
-        trace = qcc_run(h, ref)
+        trace = qcc_run(h, ref_label)
         assert trace.energies[0] == trace.initial_energy
         assert trace.energies[-1] == trace.final_energy
         assert len(trace.all_generators) == trace.parameters_used
@@ -406,16 +407,17 @@ class TestExtrapolate:
     def test_accepts_trace_objects(self, dimer_problem):
         # short dimer trace cannot support the default window
         _, h, ref_label = dimer_problem
-        trace = qcc_run(h, prepare_basis_state(h.n_qubits, ref_label))
+        trace = qcc_run(h, ref_label)
         with pytest.raises(ExtrapolationError):
             extrapolate(trace)
 
     def test_rejects_non_positive_differences(self):
         energies = geometric_energies(-1.0, -0.1, 0.0, 46)
-        energies[20] = energies[19] + 0.01  # uphill step inside the window
-        with pytest.raises(ExtrapolationError) as err:
-            extrapolate(energies)
-        assert 20 in err.value.violations or 21 in err.value.violations
+        # an uphill step, a NaN energy, and an infinite drop at the window's end
+        for i, value in ((20, energies[19] + 0.01), (20, math.nan), (40, -math.inf)):
+            with pytest.raises(ExtrapolationError) as err:
+                extrapolate(energies[:i] + [value] + energies[i + 1:])
+            assert i in err.value.violations or i + 1 in err.value.violations
 
     def test_rejects_growing_differences(self):
         energies = [-(10.0 ** (0.05 * i)) for i in range(46)]
@@ -436,18 +438,19 @@ class TestExtrapolate:
 
 
 def uccsd_setup(load_problem, name, n_electrons, mapping):
-    """(H, reference state, excitation generators) of a half-filled fixture,
+    """(H, reference label, excitation generators) of a half-filled fixture,
     every orbital active."""
     prob, h, ref_label = load_problem(name, n_electrons, n_electrons, mapping)
     exc = uccsd_excitations(prob.n_active_electrons, prob.n_active_orbitals)
     generators = uccsd_generator_paulis(exc, prob.n_spin_orbitals, mapping)
-    return h, prepare_basis_state(h.n_qubits, ref_label), generators
+    return h, ref_label, generators
 
 
 def uccsd_energy(h, ref, generators, taus):
     """Circuit energy with the layout optimize_uccsd documents."""
     pairs = [(p, -2.0 * t * c) for t, ts in zip(taus, generators) for p, c in ts]
-    return expectation(apply_rotation_sequence(ref, pairs[::-1]), h)
+    state = prepare_basis_state(h.n_qubits, ref)
+    return expectation(apply_rotation_sequence(state, pairs[::-1]), h)
 
 
 class TestUccsdOptimization:
@@ -460,7 +463,7 @@ class TestUccsdOptimization:
         # energy has frequencies 0, 1 and 2 only, fixed by five samples. The
         # energy is the kernel optimize_uccsd minimizes (TestCircuitEnergy).
         h, ref, generators = uccsd_setup(load_problem, name, n_electrons, mapping)
-        energy = _circuit_energy(h, ref.basis_state_index, generators)
+        energy = _circuit_energy(h, basis_index(ref), generators)
         rng = np.random.default_rng(RNG_SEED)
         taus = rng.uniform(-math.pi, math.pi, len(generators))
         base = energy(taus)
@@ -498,8 +501,7 @@ class TestUccsdOptimization:
         prob, h, ref_label = dimer_problem
         exc = uccsd_excitations(prob.n_active_electrons, prob.n_active_orbitals)
         generators = uccsd_generator_paulis(exc, prob.n_spin_orbitals, "jw")
-        ref = prepare_basis_state(h.n_qubits, ref_label)
-        energy, amplitudes = optimize_uccsd(h, ref, generators)
+        energy, amplitudes = optimize_uccsd(h, ref_label, generators)
         gs = exact_ground(
             h, n_electrons=2, occupation_of=occupation_decoder("jw", h.n_qubits)
         )
@@ -507,20 +509,17 @@ class TestUccsdOptimization:
         assert len(amplitudes) == 3
 
     def test_empty_generators_rejected(self):
-        h = QubitHamiltonian.from_labels({"Z": 1.0})
-        with pytest.raises(ValueError):
-            optimize_uccsd(h, prepare_basis_state(1, 0), [])
+        # an active space without excitations keeps the reference energy
+        h = QubitHamiltonian.from_labels({"Z": 1.0, "X": 0.5})
+        assert optimize_uccsd(h, "0", []) == (1.0, [])
 
     def test_requires_basis_reference(self, dimer_problem):
         prob, h, _ = dimer_problem
         exc = uccsd_excitations(prob.n_active_electrons, prob.n_active_orbitals)
         generators = uccsd_generator_paulis(exc, prob.n_spin_orbitals, "jw")
-        amp = np.zeros(1 << h.n_qubits)
-        amp[[0b0011, 0b1100]] = 1.0 / math.sqrt(2.0)
-        from qccvqe import Statevector
-
-        with pytest.raises(ValueError, match="computational-basis"):
-            optimize_uccsd(h, Statevector(h.n_qubits, amp), generators)
+        for label in ("11", "11000", "11o0"):
+            with pytest.raises(ValueError):
+                optimize_uccsd(h, label, generators)
 
 
 class TestAnsatzComparison:
