@@ -64,14 +64,16 @@ def _parse(path: Path, build, data: dict):
         _die(EXIT_PARSE, f"{path}: malformed content: {exc!r}")
 
 
-def _check_output(path: Path) -> None:
-    """Create the directory of `path`; exit 4 if that fails or `path` is a directory."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _die(EXIT_CONFIG, f"cannot write {path}: {exc}")
-    if path.is_dir():
-        _die(EXIT_CONFIG, f"cannot write {path}: it is a directory")
+def _check_output(*paths: Path | None) -> None:
+    """Create the directory of each given path; exit 4 if that fails or a path is
+    a directory. Commands call it before any work, so a refusal writes nothing."""
+    for path in filter(None, paths):
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _die(EXIT_CONFIG, f"cannot write {path}: {exc}")
+        if path.is_dir():
+            _die(EXIT_CONFIG, f"cannot write {path}: it is a directory")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -263,6 +265,7 @@ def _with_options(options):
               help="Output JSON path (default: stdout).")
 def ham(fcidump, active_electrons, n_orbitals, window, mapping, output):
     """Map an FCIDUMP file to an active-space qubit Hamiltonian."""
+    _check_output(output)
     geom = _build_problem_or_die(fcidump, active_electrons, n_orbitals, window, mapping)
     _write_json(output, _hamiltonian_payload(geom))
     if output is not None:
@@ -281,6 +284,7 @@ def ham(fcidump, active_electrons, n_orbitals, window, mapping, output):
 @click.option("--output", type=click.Path(path_type=Path), default=None)
 def fci(fcidump, active_electrons, n_orbitals, window, mapping, full_spectrum, output):
     """Exact ground energy of the mapped active-space Hamiltonian."""
+    _check_output(output)
     geom = _build_problem_or_die(fcidump, active_electrons, n_orbitals, window, mapping)
     try:
         if full_spectrum:
@@ -315,6 +319,7 @@ def fci(fcidump, active_electrons, n_orbitals, window, mapping, full_spectrum, o
 @click.option("--output", type=click.Path(path_type=Path), default=None)
 def uccsd(fcidump, active_electrons, n_orbitals, window, mapping, run_opt, output):
     """Count (and optionally optimize) single-Trotter UCCSD parameters."""
+    _check_output(output)
     geom = _build_problem_or_die(fcidump, active_electrons, n_orbitals, window, mapping)
     prob = geom.problem
     exc_list = chem.uccsd_excitations(prob.n_active_electrons, prob.n_active_orbitals)
@@ -625,9 +630,7 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
     if data.get("schema") != "qcc-trace/1":
         _die(EXIT_PARSE, f"{trace_path}: expected schema qcc-trace/1")
     trace = _parse(trace_path, QccTrace.from_json_dict, data)
-    for path in (output, curve):
-        if path is not None:
-            _check_output(path)  # a refused path must not leave the other output
+    _check_output(output, curve)
     try:
         result = solver.extrapolate(
             trace, discard=discard, window=window, thresholds=thresholds
@@ -769,9 +772,7 @@ def measure(hamiltonian_path, circuit, shots, seed, output, per_group):
     widths = {len(reference)} | {p.n_qubits for p, _ in generators}
     if widths != {ham.n_qubits}:
         _die(EXIT_CONFIG, f"circuit on {sorted(widths)} qubits, Hamiltonian on {ham.n_qubits}")
-    for path in (output, per_group):
-        if path is not None:
-            _check_output(path)  # a refused path must not leave the other output
+    _check_output(output, per_group)
     try:
         payload = _measure_state(ham, reference, generators, shots, seed)
     except ValueError as exc:

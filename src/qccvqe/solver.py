@@ -32,7 +32,7 @@ from .pauli import (
     QubitHamiltonian,
     dress_sequence,
 )
-from .simulator import _entries, _pauli_phase_vector, basis_index
+from .simulator import _entries, _pair_step, _pauli_phase_vector, _quadratic_form, basis_index
 
 # Unused here; perfbench/spans.py wraps them by name until ROADMAP item 1 step 1.
 from .simulator import apply_rotation_sequence, expectation  # noqa: F401
@@ -131,38 +131,21 @@ def _circuit_energy(
 ):
     """energy(ts) = <b|U^dag H U|b> for U = exp(i t_k G_k) ... exp(i t_1 G_1).
 
-    The (P, c) terms of G = sum c P share one flip mask x, so G|s> =
-    g(s)|s ^ x> with |g(s)| in {0, 1}: exp(i t G) rotates each coupled pair
-    {s, s ^ x} by t and keeps uncoupled states. The reached states, each
-    pair's coupling and H's entries there are built once.
+    Each generator rotates the pairs of states it couples (the simulator's
+    pair step). The reached states, each generator's rotation on them and
+    H's entries there are built once.
     """
-    terms = []
-    for gen in generators:
-        masks = {p.x_mask for p, _ in gen}
-        if len(masks) != 1:
-            raise ValueError(f"generator terms flip different masks {sorted(masks)}")
-        z = np.array([p.z_mask for p, _ in gen], dtype=np.uint64)[:, None]
-        terms.append((np.uint64(masks.pop()), z, np.array([c for _, c in gen])))
     basis = np.array([b], dtype=np.uint64)
-    for x, z, c in terms:
-        coupled = np.abs(c @ _pauli_phase_vector(x, z, basis)) > 0.5
-        basis = np.unique(np.concatenate([basis, basis[coupled] ^ x]), return_index=True)[0]
-    steps = []
-    for x, z, c in terms:
-        g = c @ _pauli_phase_vector(x, z, basis)
-        modulus = np.abs(g)
-        if (np.minimum(modulus, abs(modulus - 1.0)) > 1e-9).any():
-            raise ValueError("generator couplings must have modulus 0 or 1")
-        src = np.minimum(np.searchsorted(basis, basis ^ x), basis.size - 1)
-        pos = np.flatnonzero((basis[src] == basis ^ x) & (modulus[src] > 0.5))
-        steps.append((pos, src[pos], g[src[pos]]))
+    for gen in generators:
+        basis = np.unique(np.concatenate([basis, _pair_step(gen, basis)[0]]), return_index=True)[0]
+    rotations = [_pair_step(gen, basis)[1] for gen in generators]
     rows, cols, vals = _entries(h, basis, np.unique(basis[:, None] ^ basis, return_index=True)[0])
 
     def energy(ts: Sequence[float]) -> float:
         amp = (basis == np.uint64(b)).astype(np.complex128)
-        for (pos, src, g), t in zip(steps, ts, strict=True):
-            amp[pos] = math.cos(t) * amp[pos] + 1j * math.sin(t) * g * amp[src]
-        return float(np.vdot(amp[rows], vals * amp[cols]).real)
+        for rotate, t in zip(rotations, ts, strict=True):
+            rotate(amp, t)
+        return float(_quadratic_form(amp, rows, cols, vals).real)
 
     return energy
 

@@ -16,6 +16,9 @@ mask-level grouping the same partition, and its shot pass an equal
 `ShotEstimate` for the same seed. `expectation` is the earlier per-term
 loop over the full 2^n amplitudes, the slow reference for the package's
 entries kernel, which lists the matrix entries on the state's support.
+`rotation_sequence` is the earlier dense phase-and-scatter rotation; the
+package's pair step must prepare bit-equal amplitudes, since the shot
+pass samples their squared moduli.
 """
 
 from __future__ import annotations
@@ -179,6 +182,27 @@ def expectation(state, h) -> float:
         vec = _pauli_phase_vector(x, z, idx) * amp
         total += c * np.dot(amp.conj()[idx ^ np.uint64(x)], vec)
     return float(total.real)
+
+
+def rotation_sequence(state, pairs) -> np.ndarray:
+    """Amplitudes of (U_1 ... U_n)|psi>, U_k = exp(-i tau_k P_k / 2), last pair first.
+
+    Each rotation is cos(tau/2) psi - i sin(tau/2) P psi, with P psi formed by
+    multiplying the amplitudes by P's phase vector and scattering them to the
+    flipped indices.
+    """
+    from qccvqe.simulator import _pauli_phase_vector
+
+    amp = state.amplitudes
+    idx = np.arange(amp.size, dtype=np.uint64)
+    for p, tau in reversed(pairs):
+        rotated = _pauli_phase_vector(p.x_mask, p.z_mask, idx) * amp
+        if p.x_mask:
+            flipped = np.empty_like(rotated)
+            flipped[idx ^ np.uint64(p.x_mask)] = rotated
+            rotated = flipped
+        amp = math.cos(tau / 2.0) * amp - 1j * math.sin(tau / 2.0) * rotated
+    return amp
 
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k = 0..3

@@ -96,13 +96,24 @@ class TestHam:
         assert payload["metadata"]["mapping"] == "parity"
         assert "4 qubits" in result.output
 
-    @pytest.mark.parametrize("target", ["afile/h.json", "."])
-    def test_unwritable_output_exits_config(self, runner, fixtures_dir, tmp_path, target):
+    @pytest.mark.parametrize(
+        "command, target",
+        [
+            pytest.param(command, target, id=f"{command[0]}-{target}".removeprefix("ham-"))
+            for command in (["ham"], ["fci"], ["uccsd", "--optimize"])
+            for target in ("afile/h.json", ".")
+        ],
+    )
+    def test_unwritable_output_exits_config(
+        self, runner, fixtures_dir, tmp_path, monkeypatch, command, target
+    ):
+        # ham, fci and uccsd check --output before building the problem
+        monkeypatch.setattr(cli, "_build_problem", refuse_to_build)
         (tmp_path / "afile").write_text("kept\n")
         before = tree(tmp_path)
         result = runner.invoke(
             main,
-            ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), "--output", str(tmp_path / target)],
+            [*command, str(fixtures_dir / "dimer_d1.00.fcidump"), "--output", str(tmp_path / target)],
         )
         assert result.exit_code == 4, result.output
         assert "cannot write" in result.output

@@ -1,6 +1,10 @@
 """Statevector engine, commuting grouping, and shot sampling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +76,38 @@ class TestBasisStates:
             state.amplitudes[0] = 0.0
 
 
+# Edge angles: cos and sin of tau / 2 are 1 and 0, 0 and +-1 in exact arithmetic, or equal.
+SPECIAL_ANGLES = (0.0, math.pi, -math.pi, -0.5 * math.pi)
+
+
+@st.composite
+def rotation_cases(draw):
+    """A dense random or basis state on 1-8 qubits and 0-7 random rotations,
+    each at a special angle or uniform in [-2 pi, 2 pi]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        state = random_state(rng, n)
+    else:
+        state = prepare_basis_state(n, int(rng.integers(0, 1 << n)))
+    pairs = []
+    for _ in range(draw(st.integers(0, 7))):
+        p = PauliString.from_label(reference.random_label(rng, n))
+        special = draw(st.sampled_from(SPECIAL_ANGLES))
+        pairs.append((p, special if draw(st.booleans()) else float(rng.uniform(-2, 2) * math.pi)))
+    return state, pairs
+
+
 class TestPauliAction:
+    @PROPERTY
+    @given(rotation_cases())
+    def test_rotation_sequence_keeps_the_reference_bits(self, case):
+        # sample_energy's multinomial reads |amp|^2, so the shot pass needs
+        # the same bits; array_equal treats -0.0 and 0.0 as equal
+        state, pairs = case
+        out = apply_rotation_sequence(state, pairs)
+        assert np.array_equal(out.amplitudes, reference.rotation_sequence(state, pairs))
+
     def test_apply_pauli_matches_matrix(self):
         rng = np.random.default_rng(RNG_SEED + 1)
         for _ in range(100):
@@ -178,6 +213,29 @@ class TestExpectation:
         dressed = dress_sequence(h, pairs)
         circuit = apply_rotation_sequence(ref, pairs)
         assert abs(expectation(ref, dressed) - expectation(circuit, h)) < 1e-10
+
+    def test_same_bits_at_any_blas_thread_count(self):
+        # 483,328 entries: OpenBLAS would split one complex dot of them over threads
+        script = (
+            "import numpy as np\n"
+            "from conftest import build_problem\n"
+            "from qccvqe import Statevector, expectation\n"
+            "_, h, _ = build_problem('chain6_d1.00.fcidump', 6, 6)\n"
+            f"rng = np.random.default_rng({RNG_SEED + 9})\n"
+            "amp = rng.normal(size=4096) + 1j * rng.normal(size=4096)\n"
+            "print(repr(expectation(Statevector(12, amp / np.linalg.norm(amp)), h)))\n"
+        )
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        values = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert values[0] == values[1]
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -62,8 +62,7 @@ def circuit_cases(draw):
     uniform in [-pi, pi]. The other half are the UCCSD excitations of 1-3
     orbitals under JW or parity at uniform amplitudes; from a random
     reference many states are uncoupled from some excitation. Returns the
-    kernel's generators and angles, and the same circuit as rotation pairs
-    for apply_rotation_sequence.
+    kernel's generators and angles.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -71,10 +70,9 @@ def circuit_cases(draw):
         pool = [PauliString.from_label(reference.random_label(rng, n)) for _ in range(2)]
         k = draw(st.integers(0, 3))
         taus = np.where(rng.random(k) < 0.25, 0.0, rng.uniform(-math.pi, math.pi, k))
-        pairs = [(pool[j], float(t)) for j, t in zip(rng.integers(0, 2, k), taus)]
-        # exp(-i tau P / 2) = exp(i t P) at t = -tau / 2; the last pair acts first
-        generators = [[(p, 1.0)] for p, _ in reversed(pairs)]
-        ts = [-0.5 * tau for _, tau in reversed(pairs)]
+        # exp(-i tau P / 2) = exp(i t P) at t = -tau / 2
+        generators = [[(pool[j], 1.0)] for j in rng.integers(0, 2, k)]
+        ts = [-0.5 * float(tau) for tau in taus]
     else:
         orbitals = draw(st.integers(1, 3))
         n = 2 * orbitals
@@ -82,9 +80,8 @@ def circuit_cases(draw):
         mapping = draw(st.sampled_from(["jordan_wigner", "parity"]))
         generators = uccsd_generator_paulis(exc, n, mapping)
         ts = rng.uniform(-math.pi, math.pi, len(generators)).tolist()
-        pairs = [(p, -2.0 * t * c) for t, gen in zip(ts, generators) for p, c in gen][::-1]
     h = reference.random_hamiltonian(rng, n, draw(st.integers(1, 24)))
-    return h, draw(st.integers(0, (1 << n) - 1)), generators, ts, pairs
+    return h, draw(st.integers(0, (1 << n) - 1)), generators, ts
 
 
 # Not one 0/1 bit per qubit of a two-qubit sum; "1" alone would name index 1.
@@ -154,9 +151,14 @@ class TestCircuitEnergy:
     @PROPERTY
     @given(circuit_cases())
     def test_matches_the_statevector(self, case):
-        # the Kronecker matrix, not `expectation`: both share the entries kernel
-        h, b, generators, ts, pairs = case
-        psi = apply_rotation_sequence(prepare_basis_state(h.n_qubits, b), pairs).amplitudes
+        # Kronecker matrices and expm, not `apply_rotation_sequence` and
+        # `expectation`, which share the pair step and the quadratic form
+        h, b, generators, ts = case
+        psi = np.zeros(1 << h.n_qubits, dtype=np.complex128)
+        psi[b] = 1.0
+        for gen, t in zip(generators, ts):  # exp(i t G) is the rotation by tau = -2t
+            g_mat = sum(c * reference.label_matrix(p.to_label()) for p, c in gen)
+            psi = reference.rotation_matrix(g_mat, -2.0 * t) @ psi
         expected = np.vdot(psi, reference.ham_matrix(h) @ psi).real
         assert _circuit_energy(h, b, generators)(ts) == pytest.approx(expected, abs=1e-12)
 
