@@ -46,7 +46,6 @@ from .simulator import (
     sample_energy,
 )
 from .solver import (
-    CandidateGenerator,
     ExtrapolationError,
     ExtrapolationResult,
     FitRequestError,

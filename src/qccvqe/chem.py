@@ -22,7 +22,7 @@ import numpy as np
 
 from .pauli import (DEFAULT_PRUNE, HAMILTONIAN_MAX_QUBITS, PauliString,
                     QubitHamiltonian, _product)
-from .simulator import _PHASES
+from .simulator import _PHASES, bitstring_label
 
 __all__ = [
     "FcidumpError",
@@ -501,7 +501,7 @@ def hf_bitstring(n_electrons: int, n_spin_orbitals: int, mapping: str) -> str:
         for j in range(n_spin_orbitals):
             parity ^= (occ >> j) & 1
             bits |= parity << j
-    return "".join("1" if (bits >> i) & 1 else "0" for i in range(n_spin_orbitals))
+    return bitstring_label(bits, n_spin_orbitals)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,14 @@ def _check_output(*paths: Path | None) -> None:
             _die(EXIT_CONFIG, f"cannot write {path}: it is a directory")
 
 
+def _check_shots(shots: int) -> None:
+    """Exit 4 on a shot count that the shot emulation would refuse."""
+    try:
+        simulator._check_shots(shots)
+    except ValueError as exc:
+        _die(EXIT_CONFIG, str(exc))
+
+
 def _write_text(path: Path, text: str) -> None:
     _check_output(path)
     try:
@@ -428,7 +436,9 @@ def _load_manifest(
         cfg_data.pop("seed", None)
         cfg_data.update((k, v) for k, v in config_overrides.items() if v is not None)
         config = QccConfig.from_mapping(cfg_data)
-        shots = _manifest_int(data, "shots", minimum=1)
+        shots = _manifest_int(data, "shots")
+        if shots is not None:
+            simulator._check_shots(shots)
         out_dir = output_override or Path(data.get("output_dir", "qcc-out"))
         if not out_dir.is_absolute() and output_override is None:
             out_dir = path.parent / out_dir
@@ -599,8 +609,8 @@ def qcc(manifest_path, output_dir, **overrides):
               help="Shot seed (overrides the manifest's).")
 def pes(manifest_path, output_dir, shots, seed, **overrides):
     """Composite potential-energy-surface sweep: QCC + exact reference per point."""
-    if shots is not None and shots < 1:
-        _die(EXIT_CONFIG, f"shots must be positive, got {shots}")
+    if shots is not None:
+        _check_shots(shots)
     if seed is not None and seed < 0:
         _die(EXIT_CONFIG, f"seed must be non-negative, got {seed}")
     manifest = _load_manifest(manifest_path, output_dir, overrides)
@@ -765,8 +775,7 @@ def measure(hamiltonian_path, circuit, shots, seed, output, per_group):
         if reference is None:
             _die(EXIT_CONFIG, "no --circuit and no reference in the Hamiltonian metadata")
         generators = []
-    if shots < 1:
-        _die(EXIT_CONFIG, f"shots must be positive, got {shots}")
+    _check_shots(shots)
     if seed < 0:
         _die(EXIT_CONFIG, f"seed must be non-negative, got {seed}")
     widths = {len(reference)} | {p.n_qubits for p, _ in generators}

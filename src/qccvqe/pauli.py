@@ -211,8 +211,8 @@ class QubitHamiltonian:
     def allclose(self, other: "QubitHamiltonian", tol: float = 1e-10) -> bool:
         if self.n_qubits != other.n_qubits:
             return False
-        negated = [(p, -c) for p, c in other.items()]
-        diff = QubitHamiltonian(self.n_qubits, [*self.items(), *negated], prune=0.0)
+        parts = [(self.x, self.z, self.coeff), (other.x, other.z, -other.coeff)]
+        diff = QubitHamiltonian._from_parts(self.n_qubits, parts, prune=0.0)
         return bool(np.all(np.abs(diff.coeff) <= tol))
 
     def to_json_dict(self) -> dict:

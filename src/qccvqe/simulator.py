@@ -45,6 +45,12 @@ def _check_width(n_qubits: int) -> None:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
+def _check_shots(shots: int) -> None:
+    # rng.multinomial takes the count as a C long
+    if not 1 <= shots < 2**63:
+        raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
+
+
 def basis_index(bits: str) -> int:
     """Index of the basis state labeled by a 0/1 string, qubit 0 leftmost."""
     index = 0
@@ -358,8 +364,7 @@ def sample_energy(
         raise ValueError(
             f"qubit-count mismatch: {grouping.n_qubits} vs {state.n_qubits}"
         )
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    _check_shots(shots)
     rng = np.random.default_rng(seed)
     energy = grouping.constant
     variance_of_mean = 0.0

@@ -40,7 +40,6 @@ from .simulator import apply_rotation_sequence, expectation  # noqa: F401
 __all__ = [
     "GRAD_EPS",
     "QccConfig",
-    "CandidateGenerator",
     "IterationRecord",
     "QccTrace",
     "ExtrapolationResult",
@@ -100,15 +99,6 @@ class QccConfig:
         return cls(**dict(data))
 
 
-@dataclass(frozen=True)
-class CandidateGenerator:
-    """A flip group's representative, which flips the qubits of its x_mask,
-    scored by |dE/dtau| at 0."""
-
-    representative: PauliString
-    gradient_magnitude: float
-
-
 def flip_representative(x_mask: int, n_qubits: int) -> PauliString:
     """Canonical odd-Y-count member of the group flipping the qubits of
     x_mask: Y on the lowest flipped qubit, X on the others."""
@@ -150,7 +140,7 @@ def _circuit_energy(
     return energy
 
 
-def screen_generators(h: QubitHamiltonian, reference: str) -> list[CandidateGenerator]:
+def screen_generators(h: QubitHamiltonian, reference: str) -> list[tuple[int, float]]:
     """Rank flip-index groups by exact zero-amplitude energy gradient.
 
     For the reference label's basis state |b> and the representative R of
@@ -158,27 +148,26 @@ def screen_generators(h: QubitHamiltonian, reference: str) -> list[CandidateGene
     at tau = 0, which is Im<b|P R|b> for their sum P = sum_k c_k P_k. With
     P_k|b> = phi_k |b ^ x> and R|b> = phi_R |b ^ x>, that is
     Im(phi_R * conj(sum_k c_k phi_k)), so one phase per term and one sum per
-    x-mask give every gradient. Groups with zero gradient are dropped; the
-    rest are sorted by descending magnitude rounded to a multiple of
-    GRAD_EPS, ties broken by canonical string order.
+    x-mask give every gradient. In canonical order the terms flipping no
+    qubit come first and each nonzero x-mask is one run after them. Groups
+    with zero gradient are dropped; the rest are returned as (x_mask,
+    |gradient|) pairs by descending magnitude rounded to a multiple of
+    GRAD_EPS, ties by ascending mask (the order of the representatives'
+    canonical keys, as R's z-mask follows from x).
     """
     b = np.uint64(_reference_index(reference, h.n_qubits))
-    flips = h.x != 0
-    column = h.coeff[flips] * _pauli_phase_vector(h.x[flips], h.z[flips], b)
-    x_masks, group = np.unique(h.x[flips], return_inverse=True)
+    run = np.diff(h.x, prepend=np.uint64(0)) != 0
+    column = h.coeff * _pauli_phase_vector(h.x, h.z, b)
+    group = np.cumsum(run)  # 0 for the terms flipping no qubit, k for the k-th run
     sums = np.bincount(group, column.real) + 1j * np.bincount(group, column.imag)
+    x_masks = h.x[run]
     # flip_representative's z-mask: Y on the lowest flipped qubit only.
     rep_z = x_masks & (~x_masks + np.uint64(1))
-    grads = np.imag(_pauli_phase_vector(x_masks, rep_z, b) * np.conj(sums))
-    candidates: list[CandidateGenerator] = []
-    for x_mask, grad in zip(x_masks.tolist(), grads.tolist()):
-        if abs(grad) > GRAD_EPS:
-            rep = flip_representative(x_mask, h.n_qubits)
-            candidates.append(CandidateGenerator(rep, abs(grad)))
-    candidates.sort(
-        key=lambda c: (-round(c.gradient_magnitude / GRAD_EPS), c.representative.key())
-    )
-    return candidates
+    grads = np.abs(np.imag(_pauli_phase_vector(x_masks, rep_z, b) * np.conj(sums[1:])))
+    keep = grads > GRAD_EPS
+    x_masks, grads = x_masks[keep], grads[keep]
+    order = np.lexsort((x_masks, -np.round(grads / GRAD_EPS)))
+    return list(zip(x_masks[order].tolist(), grads[order].tolist()))
 
 
 def _rotosolve_step(energy_at, e_cur: float) -> tuple[float, float, float]:
@@ -376,12 +365,12 @@ def qcc_run(
     records: list[IterationRecord] = []
     converged = False
     for _ in range(cfg.max_iterations):
-        candidates = screen_generators(h, reference)
-        if not candidates:
+        ranked = screen_generators(h, reference)
+        if not ranked:
             converged = True
             break
-        top = candidates[: cfg.generators_per_iteration]
-        generators = [c.representative for c in top]
+        top = ranked[: cfg.generators_per_iteration]
+        generators = [flip_representative(x_mask, h.n_qubits) for x_mask, _ in top]
         e_opt, taus = optimize_amplitudes(h, reference, generators)
         if e_prev - e_opt < cfg.energy_tolerance:
             converged = True
@@ -394,7 +383,7 @@ def qcc_run(
                 generators=pairs,
                 energy=energy,
                 term_count=len(h),
-                gradients=tuple(c.gradient_magnitude for c in top),
+                gradients=tuple(grad for _, grad in top),
             )
         )
         e_prev = energy

@@ -18,7 +18,9 @@ loop over the full 2^n amplitudes, the slow reference for the package's
 entries kernel, which lists the matrix entries on the state's support.
 `rotation_sequence` is the earlier dense phase-and-scatter rotation; the
 package's pair step must prepare bit-equal amplitudes, since the shot
-pass samples their squared moduli.
+pass samples their squared moduli. `screen` is flip-index screening term
+by term in Python scalars; the package's array screening must return the
+same ranking with the same gradient bits.
 """
 
 from __future__ import annotations
@@ -206,6 +208,34 @@ def rotation_sequence(state, pairs) -> np.ndarray:
 
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k = 0..3
+
+
+def screen(h, label: str) -> list[tuple[int, float]]:
+    """Ranked (x_mask, |dE/dtau|) of every flip group, one term at a time.
+
+    Per nonzero x-mask, s sums c i^{|x&z|} (-1)^{|b&z|} from 0j over
+    `h.items()` in order, for the label's basis index b. The gradient is
+    |Im(phi_R conj(s))| for the representative's phase phi_R, with
+    z_R = x & -x. Gradients <= GRAD_EPS are dropped and the rest sorted by
+    (-round(g / GRAD_EPS), x).
+    """
+    from qccvqe.solver import GRAD_EPS
+
+    b = sum(int(ch) << i for i, ch in enumerate(label))
+
+    def phase(x: int, z: int) -> complex:
+        return _PHASES[((x & z).bit_count() + 2 * (b & z).bit_count()) % 4]
+
+    sums: dict[int, complex] = {}
+    for p, c in h.items():
+        if p.x_mask:
+            sums[p.x_mask] = sums.get(p.x_mask, 0j) + c * phase(p.x_mask, p.z_mask)
+    ranked = []
+    for x, s in sums.items():
+        g = abs((phase(x, x & -x) * s.conjugate()).imag)
+        if g > GRAD_EPS:
+            ranked.append((x, g))
+    return sorted(ranked, key=lambda xg: (-round(xg[1] / GRAD_EPS), xg[0]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -584,6 +584,7 @@ class TestQcc:
             {"shots": "100"},
             {"shots": True},
             {"shots": -5},
+            {"shots": 2**63},
             {"seed": "11"},
             {"seed": 1.5},
             {"seed": -1, "shots": 64},
@@ -613,9 +614,10 @@ class TestQcc:
                     {"schema": "qcc-manifest/1", "geometries": [entry], **extra}
                 )
             )
+            before = tree(tmp_path)
             result = runner.invoke(main, ["pes", str(path)])
             assert result.exit_code == 4, (extra, result.output)
-            assert not (tmp_path / "qcc-out").exists()
+            assert tree(tmp_path) == before
 
         # a label names the output files, so it must stay inside the directory
         for label in ("", ".", "..", "../escape", "a/b", "a\\b", "a\0b"):
@@ -763,11 +765,13 @@ class TestPes:
     def test_rejects_bad_flags(self, runner, fixtures_dir, tmp_path):
         manifest = str(fixtures_dir / "dimer.manifest.json")
         out_dir = str(tmp_path / "out")
-        result = runner.invoke(
-            main, ["pes", manifest, "--output-dir", out_dir, "--shots", "-5"]
-        )
-        assert result.exit_code == 4, result.output
-        assert not (tmp_path / "out").exists()
+        before = tree(tmp_path)
+        for shots in ("-5", str(2**63)):
+            result = runner.invoke(
+                main, ["pes", manifest, "--output-dir", out_dir, "--shots", shots]
+            )
+            assert result.exit_code == 4, result.output
+            assert tree(tmp_path) == before
         result = runner.invoke(
             main, ["pes", manifest, "--output-dir", out_dir, "--seed", "-3"]
         )
@@ -1019,12 +1023,15 @@ class TestMeasure:
 
     def test_rejects_bad_requests(self, runner, fixtures_dir, tmp_path):
         ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
-        assert (
-            runner.invoke(
-                main, ["measure", str(ham_path), "--shots", "0"]
-            ).exit_code
-            == 4
-        )
+        before = tree(tmp_path)
+        # 2**63 does not fit the C long that the multinomial draw takes
+        for shots in ("0", str(2**63)):
+            out = str(tmp_path / "m.json")
+            result = runner.invoke(
+                main, ["measure", str(ham_path), "--shots", shots, "--output", out]
+            )
+            assert result.exit_code == 4, result.output
+            assert tree(tmp_path) == before
         result = runner.invoke(main, ["measure", str(ham_path), "--seed", "-1"])
         assert result.exit_code == 4, result.output
         assert "seed must be non-negative" in result.stderr

@@ -402,8 +402,11 @@ class TestSampling:
         h = QubitHamiltonian.from_labels({"ZZ": 1.0})
         state = prepare_basis_state(2, 0)
         grouping = group_qwc(h)
-        with pytest.raises(ValueError):
-            sample_energy(state, grouping, shots=0, seed=1)
+        # the multinomial draw takes a C long: 2**63 - 1 shots is the most
+        assert sample_energy(state, grouping, shots=2**63 - 1, seed=1).energy == 1.0
+        for shots in (0, 2**63):
+            with pytest.raises(ValueError, match="shots must be in"):
+                sample_energy(state, grouping, shots=shots, seed=1)
         with pytest.raises(ValueError):
             sample_energy(prepare_basis_state(3, 0), grouping, shots=10, seed=1)
 
