@@ -21,7 +21,6 @@ from .chem import (
     FermionOperator,
     build_active_hamiltonian,
     cas_reduce,
-    default_window,
     hf_bitstring,
     map_operator,
     normalize_mapping,

@@ -32,7 +32,6 @@ __all__ = [
     "ExcitationList",
     "parse_fcidump",
     "cas_reduce",
-    "default_window",
     "build_active_hamiltonian",
     "map_operator",
     "normalize_mapping",
@@ -44,6 +43,8 @@ __all__ = [
 ]
 
 _SYMTOL = 1e-10
+# The dense (pq|rs) array holds NORB^4 float64s: 2 GiB at this NORB.
+_MAX_NORB = 128
 
 
 class FcidumpError(ValueError):
@@ -141,8 +142,8 @@ def parse_fcidump(source: str | TextIO) -> ElectronIntegrals:
         ms2 = int(fields.get("MS2", "0"))
     except ValueError as exc:
         raise FcidumpError(f"non-integer namelist value: {exc}") from None
-    if n_orb < 1:
-        raise FcidumpError(f"NORB must be positive, got {n_orb}")
+    if not 1 <= n_orb <= _MAX_NORB:
+        raise FcidumpError(f"NORB must be in 1..{_MAX_NORB}, got {n_orb}")
     if not 0 <= n_elec <= 2 * n_orb:
         raise FcidumpError(f"NELEC={n_elec} impossible for NORB={n_orb}")
 
@@ -220,47 +221,58 @@ class ActiveSpaceProblem:
         return 2 * self.n_active_orbitals
 
 
-def default_window(
-    ints: ElectronIntegrals, n_active_electrons: int, n_active_orbitals: int
-) -> range:
-    """Contiguous active window after the doubly occupied lowest orbitals."""
+def _check_active(window: Sequence[int] | None, n_active_orbitals: int | None) -> None:
+    """The CAS checks that need no integrals; cas_reduce runs them, and so
+    does the CLI's manifest loader before any geometry."""
+    if window is not None:
+        if not window or len(set(window)) != len(window):
+            raise ValueError(f"active window {sorted(window)} is empty or repeats an orbital")
+        if n_active_orbitals not in (None, len(window)):
+            raise ValueError(f"active window {sorted(window)} holds {len(window)} "
+                             f"orbitals, not {n_active_orbitals}")
+        n_active_orbitals = len(window)
+    if 2 * (n_active_orbitals or 0) > HAMILTONIAN_MAX_QUBITS:
+        raise ValueError(
+            f"{n_active_orbitals} active orbitals exceed the limit of "
+            f"{HAMILTONIAN_MAX_QUBITS // 2} ({HAMILTONIAN_MAX_QUBITS} qubits)"
+        )
+
+
+def cas_reduce(
+    ints: ElectronIntegrals,
+    window: Sequence[int] | range | None = None,
+    n_active_electrons: int | None = None,
+    *,
+    n_active_orbitals: int | None = None,
+) -> ActiveSpaceProblem:
+    """Fold doubly occupied orbitals below the window into scalar + Fock terms.
+
+    All electrons are active by default. Without a window, the active
+    orbitals are the `n_active_orbitals` (default: all) orbitals after the
+    doubly occupied lowest ones; a window of another length is refused.
+    The inactive orbitals are the lowest (n_electrons - n_active) / 2
+    orbitals outside the window; each contributes its closed-shell Coulomb
+    and exchange fields to the active one-body matrix and a constant to the
+    inactive energy. Orbitals above the window are dropped.
+    """
+    if n_active_electrons is None:
+        n_active_electrons = ints.n_electrons
     n_inactive_elec = ints.n_electrons - n_active_electrons
     if n_inactive_elec < 0 or n_inactive_elec % 2:
         raise ValueError(
             f"{n_active_electrons} active electrons of {ints.n_electrons} leave "
             f"{n_inactive_elec} to freeze (negative or odd)"
         )
-    start = n_inactive_elec // 2
-    return range(start, start + n_active_orbitals)
-
-
-def cas_reduce(
-    ints: ElectronIntegrals,
-    window: Sequence[int] | range,
-    n_active_electrons: int,
-) -> ActiveSpaceProblem:
-    """Fold doubly occupied orbitals below the window into scalar + Fock terms.
-
-    The inactive orbitals are the lowest (n_electrons - n_active) / 2
-    orbitals outside the window; each contributes its closed-shell Coulomb
-    and exchange fields to the active one-body matrix and a constant to the
-    inactive energy. Orbitals above the window are dropped.
-    """
+    n_inactive = n_inactive_elec // 2
+    if window is None:
+        n = ints.n_orbitals if n_active_orbitals is None else n_active_orbitals
+        window = range(n_inactive, n_inactive + n)
     active = sorted(int(u) for u in window)
-    if len(set(active)) != len(active):
-        raise ValueError(f"duplicate orbitals in active window {active}")
-    if not active:
-        raise ValueError("empty active window")
+    _check_active(active, n_active_orbitals)
     if active[0] < 0 or active[-1] >= ints.n_orbitals:
         raise ValueError(
             f"active window {active} exceeds orbital range 0..{ints.n_orbitals - 1}"
         )
-    n_inactive_elec = ints.n_electrons - n_active_electrons
-    if n_inactive_elec < 0 or n_inactive_elec % 2:
-        raise ValueError(
-            f"inactive electron count {n_inactive_elec} is negative or odd"
-        )
-    n_inactive = n_inactive_elec // 2
     rest = [u for u in range(ints.n_orbitals) if u not in set(active)]
     inactive = rest[:n_inactive]
     if len(inactive) < n_inactive:
@@ -510,11 +522,10 @@ class ExcitationList:
 
     singles: tuple[tuple[int, int], ...]
     doubles: tuple[tuple[int, int, int, int], ...]
-    parameter_count: int
 
-    def __post_init__(self) -> None:
-        if self.parameter_count != len(self.singles) + len(self.doubles):
-            raise ValueError("parameter_count does not match excitation lists")
+    @property
+    def parameter_count(self) -> int:
+        return len(self.singles) + len(self.doubles)
 
 
 def uccsd_excitations(n_active_electrons: int, n_active_orbitals: int) -> ExcitationList:
@@ -541,11 +552,7 @@ def uccsd_excitations(n_active_electrons: int, n_active_orbitals: int) -> Excita
                 for n in range(n_active_electrons, m):
                     if sorted((a % 2, b % 2)) == sorted((m % 2, n % 2)):
                         doubles.append((a, b, m, n))
-    return ExcitationList(
-        singles=singles,
-        doubles=tuple(doubles),
-        parameter_count=len(singles) + len(doubles),
-    )
+    return ExcitationList(singles=singles, doubles=tuple(doubles))
 
 
 def uccsd_generator_paulis(

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, NoReturn, Sequence
 import click
 
 from . import __version__, chem, oracle, simulator, solver
-from .pauli import HAMILTONIAN_MAX_QUBITS, PauliString, QubitHamiltonian
+from .pauli import PauliString, QubitHamiltonian
 from .solver import QccConfig, QccTrace
 
 EXIT_PARSE = 2
@@ -65,9 +65,12 @@ def _parse(path: Path, build, data: dict):
 
 
 def _check_output(*paths: Path | None) -> None:
-    """Create the directory of each given path; exit 4 if that fails or a path is
-    a directory. Commands call it before any work, so a refusal writes nothing."""
-    for path in filter(None, paths):
+    """Create the directory of each given path; exit 4 if that fails, a path is a
+    directory or two name one file. Called before any work: a refusal writes nothing."""
+    given = list(filter(None, paths))
+    if len({path.resolve() for path in given}) < len(given):
+        _die(EXIT_CONFIG, f"cannot write {' and '.join(map(str, given))}: they name one file")
+    for path in given:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -122,14 +125,6 @@ def _parse_window(text: str | None) -> list[int] | None:
         raise ConfigError(f"window must be comma-separated integers, got {text!r}")
 
 
-def _check_width(n_orbitals: int) -> None:
-    if 2 * n_orbitals > HAMILTONIAN_MAX_QUBITS:
-        raise ConfigError(
-            f"{n_orbitals} active orbitals exceed the limit of "
-            f"{HAMILTONIAN_MAX_QUBITS // 2} ({HAMILTONIAN_MAX_QUBITS} qubits)"
-        )
-
-
 @dataclass(frozen=True)
 class GeometryProblem:
     """Everything one geometry needs downstream of the FCIDUMP parse."""
@@ -157,14 +152,9 @@ def _build_problem(
     ints = chem.parse_fcidump(text)
     try:
         mapping = chem.normalize_mapping(mapping)
-        if n_active_electrons is None:
-            n_active_electrons = ints.n_electrons
-        if n_active_orbitals is None and window is None:
-            n_active_orbitals = ints.n_orbitals
-        if window is None:
-            window = chem.default_window(ints, n_active_electrons, n_active_orbitals)
-        _check_width(len(window))
-        prob = chem.cas_reduce(ints, window, n_active_electrons)
+        prob = chem.cas_reduce(
+            ints, window, n_active_electrons, n_active_orbitals=n_active_orbitals
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     fermion = chem.build_active_hamiltonian(prob)
@@ -425,7 +415,7 @@ def _load_manifest(
                 f"orbital_window must be a list of non-negative integers, got {window!r}"
             )
         n_active_orbitals = _manifest_int(data, "active_orbitals", minimum=1)
-        _check_width(max(n_active_orbitals or 0, len(window or ())))
+        chem._check_active(window, n_active_orbitals)
         seed = _manifest_int(data, "seed", minimum=0)
         mapping = data.get("mapping", "jordan_wigner")
         if not isinstance(mapping, str):

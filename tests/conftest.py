@@ -9,7 +9,6 @@ import pytest
 from qccvqe import (
     build_active_hamiltonian,
     cas_reduce,
-    default_window,
     hf_bitstring,
     map_operator,
     parse_fcidump,
@@ -21,8 +20,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def build_problem(name, n_electrons, n_orbitals, mapping="jordan_wigner"):
     """FCIDUMP fixture -> (ActiveSpaceProblem, QubitHamiltonian, HF label)."""
     ints = parse_fcidump((FIXTURES / name).read_text())
-    window = default_window(ints, n_electrons, n_orbitals)
-    prob = cas_reduce(ints, window, n_electrons)
+    prob = cas_reduce(ints, n_active_electrons=n_electrons, n_active_orbitals=n_orbitals)
     h = map_operator(build_active_hamiltonian(prob), mapping)
     ref = hf_bitstring(n_electrons, prob.n_spin_orbitals, mapping)
     return prob, h, ref

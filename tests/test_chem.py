@@ -1,5 +1,6 @@
 """FCIDUMP parsing, active-space reduction, and fermion-to-qubit mapping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from qccvqe import (
     PauliString,
     build_active_hamiltonian,
     cas_reduce,
-    default_window,
     exact_ground,
     expectation,
     hf_bitstring,
@@ -112,16 +112,56 @@ class TestParse:
             ElectronIntegrals(2, np.zeros((2, 2)), g2, 0.0, 2, 0)
 
 
+def assert_same_problem(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, field.name
+
+
 class TestActiveSpace:
     def test_default_window_follows_frozen_pairs(self):
         ints = parse_fcidump(SAMPLE)
-        assert list(default_window(ints, 2, 2)) == [0, 1]
-        ints6 = ElectronIntegrals(
-            6, np.zeros((6, 6)), np.zeros((6,) * 4), 0.0, 6, 0
+        assert_same_problem(
+            cas_reduce(ints, n_active_electrons=2, n_active_orbitals=2),
+            cas_reduce(ints, [0, 1], 2),
         )
-        assert list(default_window(ints6, 4, 4)) == [1, 2, 3, 4]
+        # distinct orbital energies, so another window gives another problem
+        ints6 = ElectronIntegrals(
+            6, np.diag(np.arange(1.0, 7.0)), np.zeros((6,) * 4), 0.0, 6, 0
+        )
+        assert_same_problem(
+            cas_reduce(ints6, n_active_electrons=4, n_active_orbitals=4),
+            cas_reduce(ints6, [1, 2, 3, 4], 4),
+        )
         with pytest.raises(ValueError):
-            default_window(ints6, 3, 3)
+            cas_reduce(ints6, n_active_electrons=3, n_active_orbitals=3)
+
+    @pytest.mark.parametrize("mapping", chem.MAPPINGS)
+    def test_orbital_count_names_the_window_after_the_frozen_pairs(self, fixtures_dir, mapping):
+        # every (electrons, orbitals) request without a window reduces to the
+        # window after the frozen pairs, or is refused where that window is
+        for path in sorted(fixtures_dir.glob("*.fcidump")):
+            ints = parse_fcidump(path.read_text())
+            for n_e in range(-1, ints.n_electrons + 2):
+                frozen = ints.n_electrons - n_e
+                for n_o in (None, *range(-1, ints.n_orbitals + 2)):
+                    request = dict(n_active_electrons=n_e, n_active_orbitals=n_o)
+                    try:
+                        if frozen < 0 or frozen % 2:
+                            raise ValueError("no whole number of frozen pairs")
+                        start = frozen // 2
+                        stop = start + (ints.n_orbitals if n_o is None else n_o)
+                        expected = cas_reduce(ints, range(start, stop), n_e)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            cas_reduce(ints, **request)
+                        continue
+                    got = cas_reduce(ints, **request)
+                    assert_same_problem(got, expected)
+                    got_h, expected_h = (
+                        map_operator(build_active_hamiltonian(p), mapping) for p in (got, expected)
+                    )
+                    assert term_hex(got_h) == term_hex(expected_h), (path.name, n_e, n_o)
 
     def test_full_window_is_identity_reduction(self):
         ints = parse_fcidump(SAMPLE)
@@ -143,6 +183,13 @@ class TestActiveSpace:
             cas_reduce(ints, [0, 1], 1)  # odd inactive electron count
         with pytest.raises(ValueError):
             cas_reduce(ints, [0, 2], 0)  # inactive orbital above the window
+        # a window must hold the orbital count given with it
+        for n_o in (1, 3):
+            with pytest.raises(ValueError, match="orbitals, not"):
+                cas_reduce(ints, [0, 1], 2, n_active_orbitals=n_o)
+        assert_same_problem(
+            cas_reduce(ints, [0, 1], 2, n_active_orbitals=2), cas_reduce(ints, [0, 1], 2)
+        )
 
     def test_folding_matches_projected_determinant_space(self, fixtures_dir):
         # freezing one doubly occupied orbital of the six-site chain must
@@ -150,9 +197,7 @@ class TestActiveSpace:
         # that orbital filled and the virtual orbital empty; the restricted
         # energy upper-bounds the unrestricted six-electron ground
         ints = parse_fcidump((fixtures_dir / "chain6_d1.00.fcidump").read_text())
-        window = default_window(ints, 4, 4)
-        assert list(window) == [1, 2, 3, 4]
-        cas = cas_reduce(ints, window, 4)
+        cas = cas_reduce(ints, [1, 2, 3, 4], 4)
         assert cas.e_inactive != 0.0
         h_cas = map_operator(build_active_hamiltonian(cas), "jordan_wigner")
         e_cas = exact_ground(

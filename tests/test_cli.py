@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import qccvqe
-from qccvqe import cli, oracle, simulator, solver
+from qccvqe import chem, cli, oracle, simulator, solver
 from qccvqe.cli import main
 
 
@@ -119,12 +119,21 @@ class TestHam:
         assert "cannot write" in result.output
         assert tree(tmp_path) == before
 
-    def test_bad_window_exits_config(self, runner, fixtures_dir):
-        result = runner.invoke(
-            main,
-            ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), "--window", "0;1"],
-        )
-        assert result.exit_code == 4
+    def test_bad_window_exits_config(self, runner, fixtures_dir, tmp_path):
+        before = tree(tmp_path)
+        for fixture, flags in [
+            ("dimer_d1.00", ["--window", "0;1"]),
+            # a window of another length than -o asks for
+            ("dimer_d1.00", ["-o", "1", "--window", "0,1"]),
+            ("chain4_d1.00", ["-o", "2", "--window", "0,1,2"]),
+        ]:
+            result = runner.invoke(
+                main,
+                ["ham", str(fixtures_dir / f"{fixture}.fcidump"), *flags,
+                 "--output", str(tmp_path / "h.json")],
+            )
+            assert result.exit_code == 4, (flags, result.output)
+            assert tree(tmp_path) == before
 
     def test_corrupt_fcidump_exits_parse(self, runner, tmp_path):
         bad = tmp_path / "bad.fcidump"
@@ -266,6 +275,36 @@ class TestWidthLimit:
             assert result.exit_code == 3, result.output
             (row,) = csv.DictReader((out_dir / summary).open())
             assert row["status"].startswith("error: 17 active orbitals exceed")
+
+
+class TestHugeNorb:
+    """A NORB above the parser's ceiling is refused before any integral array exists."""
+
+    @pytest.fixture(params=[chem._MAX_NORB + 1, 1000000])
+    def huge_fcidump(self, request, tmp_path):
+        path = tmp_path / "huge.fcidump"
+        path.write_text(f"&FCI NORB={request.param}, NELEC=2,\n&END\n")
+        return path
+
+    def test_ham_exits_parse(self, runner, huge_fcidump):
+        result = runner.invoke(main, ["ham", str(huge_fcidump)])
+        assert result.exit_code == 2, result.output
+        assert f"NORB must be in 1..{chem._MAX_NORB}" in result.output
+
+    def test_sweep_records_an_error_row(self, runner, fixtures_dir, huge_fcidump, tmp_path):
+        # the huge geometry sorts after the good one, whose trace is written first
+        manifest = tmp_path / "huge.manifest.json"
+        geometries = [
+            {"label": "1.00", "fcidump": str(fixtures_dir / "dimer_d1.00.fcidump")},
+            {"label": "huge", "fcidump": str(huge_fcidump)},
+        ]
+        manifest.write_text(json.dumps({"schema": "qcc-manifest/1", "geometries": geometries}))
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["qcc", str(manifest), "--output-dir", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        rows = {r["geometry"]: r for r in csv.DictReader((out_dir / "summary.csv").open())}
+        assert rows["1.00"]["status"] == "ok"
+        assert rows["huge"]["status"].startswith("error: NORB must be in")
 
 
 class TestFci:
@@ -605,6 +644,9 @@ class TestQcc:
             {"orbital_window": [-1, 0]},
             {"orbital_window": [0, "1"]},
             {"orbital_window": [0, True]},
+            {"orbital_window": []},
+            {"orbital_window": [0, 0]},
+            {"active_orbitals": 3, "orbital_window": [0, 1]},
             {"mapping": 5},
         ]
         for extra in mistyped:
@@ -890,6 +932,8 @@ class TestExtrapolateCommand:
             ["--curve", "afile/x.csv"],
             # a writable --output must not be written when --curve is refused
             ["--output", "good.json", "--curve", "afile/x.csv"],
+            # nor when both name one file
+            ["--output", "e.out", "--curve", "e.out"],
         ],
         ids="-".join,
     )
@@ -1031,6 +1075,16 @@ class TestMeasure:
                 main, ["measure", str(ham_path), "--shots", shots, "--output", out]
             )
             assert result.exit_code == 4, result.output
+            assert tree(tmp_path) == before
+        # two outputs that name one file, also through a directory not yet made
+        for other in ("same.out", "sub/../same.out"):
+            result = runner.invoke(
+                main,
+                ["measure", str(ham_path), "--shots", "64", "--output",
+                 str(tmp_path / "same.out"), "--per-group", str(tmp_path / other)],
+            )
+            assert result.exit_code == 4, result.output
+            assert "name one file" in result.output
             assert tree(tmp_path) == before
         result = runner.invoke(main, ["measure", str(ham_path), "--seed", "-1"])
         assert result.exit_code == 4, result.output
