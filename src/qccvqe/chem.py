@@ -20,8 +20,7 @@ from typing import Callable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .pauli import (DEFAULT_PRUNE, HAMILTONIAN_MAX_QUBITS, PauliString,
-                    QubitHamiltonian, _product)
+from .pauli import HAMILTONIAN_MAX_QUBITS, PauliString, QubitHamiltonian, _product
 from .simulator import _PHASES, bitstring_label
 
 __all__ = [
@@ -76,8 +75,10 @@ class ElectronIntegrals:
             raise ValueError(f"g2 shape {self.g2.shape} does not match {n} orbitals")
         if np.max(np.abs(self.h1 - self.h1.T)) > _SYMTOL:
             raise ValueError("h1 is not symmetric")
+        # one leading-index slice at a time, so no temporary is the size of g2
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
-            if np.max(np.abs(self.g2 - self.g2.transpose(perm))) > _SYMTOL:
+            swapped = self.g2.transpose(perm)
+            if any(np.max(np.abs(self.g2[p] - swapped[p])) > _SYMTOL for p in range(n)):
                 raise ValueError(f"g2 violates permutational symmetry {perm}")
 
 
@@ -124,7 +125,8 @@ def parse_fcidump(source: str | TextIO) -> ElectronIntegrals:
     all-zero indices give the nuclear repulsion, k = l = 0 gives h1 entries
     (stored symmetrically), a single nonzero index is an orbital-energy
     line and is skipped, and four nonzero indices give (ij|kl) expanded to
-    all eight chemist-notation permutations.
+    all eight chemist-notation permutations. A line may repeat an integral
+    only with the same value.
     """
     text = source if isinstance(source, str) else source.read()
     lines = [
@@ -150,6 +152,8 @@ def parse_fcidump(source: str | TextIO) -> ElectronIntegrals:
     h1 = np.zeros((n_orb, n_orb))
     g2 = np.zeros((n_orb, n_orb, n_orb, n_orb))
     e_nuclear = 0.0
+    # each integral's first line, under one key for all its index orders
+    first_line: dict[tuple[int, ...], int] = {}
     for lineno, line in lines[consumed:]:
         parts = line.split()
         if len(parts) != 5:
@@ -169,23 +173,30 @@ def parse_fcidump(source: str | TextIO) -> ElectronIntegrals:
         for idx in (i, j, k, l):
             if not 0 <= idx <= n_orb:
                 raise FcidumpError(f"orbital index {idx} out of range 0..{n_orb}", lineno)
+        # `first` is the integral's value before this line: the value of the
+        # line that named it first, if any did
         if i == j == k == l == 0:
-            e_nuclear = value
-        elif k == 0 and l == 0:
+            key, first, e_nuclear = (), e_nuclear, value
+        elif i and k == l == 0:
             if j == 0:
                 continue  # orbital-energy line, not used
-            p, q = i - 1, j - 1
-            h1[p, q] = value
-            h1[q, p] = value
+            key, first = (min(i, j), max(i, j)), h1[i - 1, j - 1]
+            h1[i - 1, j - 1] = h1[j - 1, i - 1] = value
         elif 0 in (i, j, k, l):
             raise FcidumpError(f"partial zero indices {parts[1:]!r}", lineno)
         else:
             p, q, r, s = i - 1, j - 1, k - 1, l - 1
-            for a, b, c, d in (
-                (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-                (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-            ):
-                g2[a, b, c, d] = value
+            images = ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                      (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p))
+            key, first = min(images), g2[p, q, r, s]
+            for index in images:
+                g2[index] = value
+        seen_at = first_line.setdefault(key, lineno)
+        if seen_at != lineno and value != first:
+            raise FcidumpError(
+                f"value {value!r} conflicts with {float(first)!r} on line {seen_at} "
+                "for the same integral", lineno
+            )
     return ElectronIntegrals(
         n_orbitals=n_orb, h1=h1, g2=g2, e_nuclear=e_nuclear,
         n_electrons=n_elec, ms2=ms2,
@@ -248,8 +259,9 @@ def cas_reduce(
     """Fold doubly occupied orbitals below the window into scalar + Fock terms.
 
     All electrons are active by default. Without a window, the active
-    orbitals are the `n_active_orbitals` (default: all) orbitals after the
-    doubly occupied lowest ones; a window of another length is refused.
+    orbitals are the `n_active_orbitals` (default: all the rest) orbitals
+    after the doubly occupied lowest ones; a window of another length is
+    refused.
     The inactive orbitals are the lowest (n_electrons - n_active) / 2
     orbitals outside the window; each contributes its closed-shell Coulomb
     and exchange fields to the active one-body matrix and a constant to the
@@ -265,7 +277,7 @@ def cas_reduce(
         )
     n_inactive = n_inactive_elec // 2
     if window is None:
-        n = ints.n_orbitals if n_active_orbitals is None else n_active_orbitals
+        n = ints.n_orbitals - n_inactive if n_active_orbitals is None else n_active_orbitals
         window = range(n_inactive, n_inactive + n)
     active = sorted(int(u) for u in window)
     _check_active(active, n_active_orbitals)
@@ -340,30 +352,24 @@ def build_active_hamiltonian(prob: ActiveSpaceProblem) -> FermionOperator:
     skipped.
     """
     o = prob.n_active_orbitals
-    terms: dict[LadderProduct, float] = {}
-
-    def add(ops: LadderProduct, coeff: float) -> None:
-        if abs(coeff) < 1e-14:
-            return
-        terms[ops] = terms.get(ops, 0.0) + coeff
-
-    for u in range(o):
-        for v in range(o):
-            c = prob.f_inactive[u, v]
-            for spin in (0, 1):
-                add(((2 * u + spin, 1), (2 * v + spin, 0)), c)
-    for u in range(o):
-        for v in range(o):
-            for x in range(o):
-                for y in range(o):
-                    c = 0.5 * prob.g_active[u, v, x, y]
-                    for s in (0, 1):
-                        for t in (0, 1):
-                            p1, p2 = 2 * u + s, 2 * x + t
-                            q2, q1 = 2 * y + t, 2 * v + s
-                            if p1 == p2 or q2 == q1:
-                                continue
-                            add(((p1, 1), (p2, 1), (q2, 0), (q1, 0)), c)
+    # index grids in C order list the terms as nested loops over
+    # (u, v, spin) and (u, v, x, y, s, t) would; no product repeats
+    u, v, spin = (a.ravel() for a in np.indices((o, o, 2)))
+    c = prob.f_inactive[u, v]
+    keep = ~(np.abs(c) < 1e-14)  # keeps a NaN, which FermionOperator refuses
+    p, q = (2 * u + spin)[keep].tolist(), (2 * v + spin)[keep].tolist()
+    terms: dict[LadderProduct, float] = {
+        ((a, 1), (b, 0)): coeff for a, b, coeff in zip(p, q, c[keep].tolist())
+    }
+    u, v, x, y, s, t = (a.ravel() for a in np.indices((o, o, o, o, 2, 2)))
+    c = 0.5 * prob.g_active[u, v, x, y]
+    p1, p2, q2, q1 = 2 * u + s, 2 * x + t, 2 * y + t, 2 * v + s
+    keep = (p1 != p2) & (q2 != q1) & ~(np.abs(c) < 1e-14)
+    ops = zip(*(a[keep].tolist() for a in (p1, p2, q2, q1)))
+    terms.update(
+        (((i, 1), (j, 1), (k, 0), (l, 0)), coeff)
+        for (i, j, k, l), coeff in zip(ops, c[keep].tolist())
+    )
     return FermionOperator(n_spin_orbitals=2 * o, terms=terms)
 
 
@@ -459,9 +465,7 @@ def _map_products(
     return key >> shift, key & np.uint64((1 << n) - 1), w
 
 
-def map_operator(
-    op: FermionOperator, mapping: str, prune: float = DEFAULT_PRUNE
-) -> QubitHamiltonian:
+def map_operator(op: FermionOperator, mapping: str) -> QubitHamiltonian:
     """Qubit image of a Hermitian FermionOperator; one qubit per spin orbital."""
     x, z, w = _map_products(op, mapping)
     if not np.isfinite(w).all():
@@ -471,7 +475,7 @@ def map_operator(
         raise ValueError(
             f"mapped operator has imaginary residue {residue}; input not Hermitian"
         )
-    return QubitHamiltonian._from_parts(op.n_spin_orbitals, [(x, z, w.real)], prune)
+    return QubitHamiltonian._from_parts(op.n_spin_orbitals, [(x, z, w.real)])
 
 
 def occupation_decoder(mapping: str, n_qubits: int) -> Callable[[np.ndarray], np.ndarray]:

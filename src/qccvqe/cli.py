@@ -235,7 +235,7 @@ _cas_options = [
     ),
     click.option(
         "--active-orbitals", "-o", "n_orbitals", type=int, default=None,
-        help="Spatial orbitals in the active space (default: all).",
+        help="Spatial orbitals in the active space (default: all after the frozen pairs).",
     ),
     click.option(
         "--window", default=None,

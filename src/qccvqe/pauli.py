@@ -133,8 +133,9 @@ class QubitHamiltonian:
 
     Terms are stored as the arrays `x`, `z` (uint64 masks) and `coeff`
     (float64) in canonical (x_mask, z_mask) order, so iteration, grouping,
-    and gradient tie-breaking are deterministic. Instances and their arrays
-    are treated as immutable; all operations return new objects.
+    and gradient tie-breaking are deterministic. Like terms are summed and
+    |c| < DEFAULT_PRUNE dropped. Instances and their arrays are treated as
+    immutable; all operations return new objects.
     """
 
     __slots__ = ("n_qubits", "x", "z", "coeff")
@@ -143,7 +144,6 @@ class QubitHamiltonian:
         self,
         n_qubits: int,
         terms: Mapping[PauliString, float] | Iterable[tuple[PauliString, float]],
-        prune: float = DEFAULT_PRUNE,
     ) -> None:
         if not 1 <= n_qubits <= HAMILTONIAN_MAX_QUBITS:
             raise ValueError(
@@ -156,7 +156,7 @@ class QubitHamiltonian:
         if not np.isfinite(coeff).all():
             raise ValueError("non-finite coefficient")
         masks = np.array([p.key() for p, _ in pairs], dtype=np.uint64).reshape(-1, 2)
-        self._assign(n_qubits, masks[:, 0], masks[:, 1], coeff, prune)
+        self._assign(n_qubits, masks[:, 0], masks[:, 1], coeff, DEFAULT_PRUNE)
 
     def _assign(self, n_qubits, x, z, coeff, prune) -> None:
         """Sum like terms (in input order, from 0.0), sort, drop |c| < prune."""
@@ -168,21 +168,19 @@ class QubitHamiltonian:
         self.z = key[keep] ^ (self.x << shift)
 
     @classmethod
-    def _from_parts(cls, n_qubits, parts, prune) -> "QubitHamiltonian":
+    def _from_parts(cls, n_qubits, parts, prune=DEFAULT_PRUNE) -> "QubitHamiltonian":
         """Sum of (x, z, coeff) term arrays, which may repeat a string."""
         h = cls.__new__(cls)
         h._assign(n_qubits, *(np.concatenate(a) for a in zip(*parts)), prune)
         return h
 
     @classmethod
-    def from_labels(
-        cls, coeffs: Mapping[str, float], prune: float = DEFAULT_PRUNE
-    ) -> "QubitHamiltonian":
+    def from_labels(cls, coeffs: Mapping[str, float]) -> "QubitHamiltonian":
         """Build from {label: coefficient}; all labels must share one length."""
         if not coeffs:
             raise ValueError("empty Hamiltonian")
         pairs = [(PauliString.from_label(s), c) for s, c in coeffs.items()]
-        return cls(pairs[0][0].n_qubits, pairs, prune=prune)
+        return cls(pairs[0][0].n_qubits, pairs)
 
     def items(self) -> Iterator[tuple[PauliString, float]]:
         for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeff.tolist()):

@@ -26,12 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pauli import (
-    DEFAULT_PRUNE,
-    PauliString,
-    QubitHamiltonian,
-    dress_sequence,
-)
+from .pauli import PauliString, QubitHamiltonian, dress_sequence
 from .simulator import _entries, _pair_step, _pauli_phase_vector, _quadratic_form, basis_index
 
 # Unused here; perfbench/spans.py wraps them by name until ROADMAP item 1 step 1.
@@ -72,21 +67,17 @@ class QccConfig:
     generators_per_iteration: int = 1
     max_iterations: int = 50
     energy_tolerance: float = 1e-6
-    prune_threshold: float = DEFAULT_PRUNE
 
     def __post_init__(self) -> None:
         for name in ("generators_per_iteration", "max_iterations"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("energy_tolerance", "prune_threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.energy_tolerance == 0:
-            raise ValueError("energy_tolerance must be positive")
+        value = self.energy_tolerance
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"energy_tolerance must be a number, got {value!r}")
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError(f"energy_tolerance must be finite and positive, got {value!r}")
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "QccConfig":
@@ -376,7 +367,7 @@ def qcc_run(
             converged = True
             break
         pairs = tuple(zip(generators, taus))
-        h = dress_sequence(h, pairs, prune=cfg.prune_threshold)
+        h = dress_sequence(h, pairs)
         energy = _circuit_energy(h, b, [])([])
         records.append(
             IterationRecord(

@@ -20,7 +20,9 @@ entries kernel, which lists the matrix entries on the state's support.
 package's pair step must prepare bit-equal amplitudes, since the shot
 pass samples their squared moduli. `screen` is flip-index screening term
 by term in Python scalars; the package's array screening must return the
-same ranking with the same gradient bits.
+same ranking with the same gradient bits. `active_hamiltonian_terms` is
+the earlier nested-loop build of the active-space fermion operator, which
+the package's index-grid build must match key for key and bit for bit.
 """
 
 from __future__ import annotations
@@ -137,6 +139,42 @@ def integral_terms(ints) -> dict:
                                 ),
                                 c,
                             )
+    return terms
+
+
+def active_hamiltonian_terms(prob) -> dict:
+    """The nested-loop build of `build_active_hamiltonian`'s terms.
+
+    Loops over (u, v, spin) for f_inactive, then (u, v, x, y, s, t) for
+    1/2 (uv|xy), skipping products with a repeated creation or annihilation
+    index and coefficients below 1e-14; the package's index-grid build must
+    give the same keys in the same order with the same values.
+    """
+    o = prob.n_active_orbitals
+    terms: dict[tuple, float] = {}
+
+    def add(ops: tuple, coeff: float) -> None:
+        if abs(coeff) < 1e-14:
+            return
+        terms[ops] = terms.get(ops, 0.0) + coeff
+
+    for u in range(o):
+        for v in range(o):
+            c = prob.f_inactive[u, v]
+            for spin in (0, 1):
+                add(((2 * u + spin, 1), (2 * v + spin, 0)), c)
+    for u in range(o):
+        for v in range(o):
+            for x in range(o):
+                for y in range(o):
+                    c = 0.5 * prob.g_active[u, v, x, y]
+                    for s in (0, 1):
+                        for t in (0, 1):
+                            p1, p2 = 2 * u + s, 2 * x + t
+                            q2, q1 = 2 * y + t, 2 * v + s
+                            if p1 == p2 or q2 == q1:
+                                continue
+                            add(((p1, 1), (p2, 1), (q2, 0), (q1, 0)), c)
     return terms
 
 

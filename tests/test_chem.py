@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,19 +98,49 @@ class TestParse:
             " &FCI NORB=2,NELEC=2 &END\n 1.0 1 1 1 x\n",
             " &FCI NORB=2,NELEC=2 &END\n 1.0 3 1 1 1\n",
             " &FCI NORB=2,NELEC=2 &END\n 1.0 1 1 1 0\n",
+            " &FCI NORB=2,NELEC=2 &END\n 1.0 0 2 0 0\n",
         ]
         for text in cases:
             with pytest.raises(FcidumpError):
                 parse_fcidump(text)
 
+    def test_conflicting_repeats_are_refused(self):
+        header = " &FCI NORB=2,NELEC=2 &END\n"
+        # one integral named twice, by the same or another of its index orders
+        for first, second in (
+            ("0.5 1 2 1 1", "0.6 2 1 1 1"),
+            ("0.5 1 2 1 1", "0.6 1 1 1 2"),
+            ("0.5 1 2 2 1", "0.6 2 1 1 2"),
+            ("0.5 1 1 1 1", "0.6 1 1 1 1"),
+            ("-1.0 1 2 0 0", "-1.5 2 1 0 0"),
+            ("-1.0 1 1 0 0", "-1.5 1 1 0 0"),
+            ("4.25 0 0 0 0", "4.5 0 0 0 0"),
+        ):
+            with pytest.raises(FcidumpError, match="conflicts with .* on line 2") as err:
+                parse_fcidump(f"{header} {first}\n 0.1 2 2 2 2\n {second}\n")
+            assert err.value.line == 4, (first, second)
+
+    def test_equal_repeats_are_accepted(self):
+        once = " &FCI NORB=2,NELEC=2 &END\n 0.5 1 2 1 1\n-1.0 1 2 0 0\n 4.25 0 0 0 0\n"
+        twice = once + " 0.5 2 1 1 1\n-1.0 2 1 0 0\n 4.25 0 0 0 0\n 0.3 1 0 0 0\n 0.4 1 0 0 0\n"
+        a, b = parse_fcidump(once), parse_fcidump(twice)
+        assert np.array_equal(a.h1, b.h1) and np.array_equal(a.g2, b.g2)
+        assert a.e_nuclear == b.e_nuclear == 4.25
+
     def test_integrals_validate_symmetry(self):
         h1 = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             ElectronIntegrals(2, h1, np.zeros((2, 2, 2, 2)), 0.0, 2, 0)
-        g2 = np.zeros((2, 2, 2, 2))
-        g2[0, 1, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            ElectronIntegrals(2, np.zeros((2, 2)), g2, 0.0, 2, 0)
+        # each entry breaks one permutation and keeps the ones checked before it
+        for index, perm in (
+            ((0, 1, 0, 0), (1, 0, 2, 3)),
+            ((0, 0, 0, 1), (0, 1, 3, 2)),
+            ((0, 0, 1, 1), (2, 3, 0, 1)),
+        ):
+            g2 = np.zeros((2, 2, 2, 2))
+            g2[index] = 1.0
+            with pytest.raises(ValueError, match=re.escape(f"symmetry {perm}")):
+                ElectronIntegrals(2, np.zeros((2, 2)), g2, 0.0, 2, 0)
 
 
 def assert_same_problem(a, b):
@@ -139,7 +170,8 @@ class TestActiveSpace:
     @pytest.mark.parametrize("mapping", chem.MAPPINGS)
     def test_orbital_count_names_the_window_after_the_frozen_pairs(self, fixtures_dir, mapping):
         # every (electrons, orbitals) request without a window reduces to the
-        # window after the frozen pairs, or is refused where that window is
+        # window after the frozen pairs (by default, every orbital above them),
+        # or is refused where that window is
         for path in sorted(fixtures_dir.glob("*.fcidump")):
             ints = parse_fcidump(path.read_text())
             for n_e in range(-1, ints.n_electrons + 2):
@@ -150,7 +182,7 @@ class TestActiveSpace:
                         if frozen < 0 or frozen % 2:
                             raise ValueError("no whole number of frozen pairs")
                         start = frozen // 2
-                        stop = start + (ints.n_orbitals if n_o is None else n_o)
+                        stop = ints.n_orbitals if n_o is None else start + n_o
                         expected = cas_reduce(ints, range(start, stop), n_e)
                     except ValueError:
                         with pytest.raises(ValueError):
@@ -236,6 +268,21 @@ class TestFermionOperator:
             FermionOperator(2, {((0, 2), (0, 0)): 1.0})
         with pytest.raises(ValueError):
             FermionOperator(2, {((0, 1), (0, 0)): math.nan})
+
+    def test_build_matches_the_loop(self, fixtures_dir):
+        # every active space that cas_reduce accepts on every shipped file
+        for path in sorted(fixtures_dir.glob("*.fcidump")):
+            ints = parse_fcidump(path.read_text())
+            for n_e in range(ints.n_electrons + 1):
+                for n_o in (None, *range(1, ints.n_orbitals + 1)):
+                    try:
+                        prob = cas_reduce(ints, n_active_electrons=n_e, n_active_orbitals=n_o)
+                    except ValueError:
+                        continue
+                    got = [(k, c.hex()) for k, c in build_active_hamiltonian(prob).terms.items()]
+                    expected = [(k, float(c).hex()) for k, c
+                                in reference.active_hamiltonian_terms(prob).items()]
+                    assert got == expected, (path.name, n_e, n_o)
 
     def test_build_matches_determinant_reference(self, dimer_problem):
         prob, h, _ = dimer_problem

@@ -135,6 +135,14 @@ class TestHam:
             assert result.exit_code == 4, (flags, result.output)
             assert tree(tmp_path) == before
 
+    def test_electrons_alone_take_every_orbital_above_the_frozen_pairs(
+        self, runner, fixtures_dir
+    ):
+        path = str(fixtures_dir / "chain6_d1.00.fcidump")
+        alone = run_checked(runner, ["ham", path, "-e", "4"])
+        window = run_checked(runner, ["ham", path, "-e", "4", "--window", "1,2,3,4,5"])
+        assert alone.output == window.output
+
     def test_corrupt_fcidump_exits_parse(self, runner, tmp_path):
         bad = tmp_path / "bad.fcidump"
         bad.write_text("this is not a namelist\n")
@@ -333,6 +341,17 @@ class TestFci:
         assert full["sector_restricted"] is False
         assert full["e_active"] <= restricted["e_active"] + 1e-12
 
+    @pytest.mark.parametrize(
+        "line", ["1.5 1 1 1 1", "1.5 1 2 1 2", "1.5 1 1 0 0", "1.5 0 0 0 0"]
+    )
+    def test_conflicting_duplicate_exits_parse(self, runner, fixtures_dir, tmp_path, line):
+        # the appended line gives an integral of the file a second value
+        path = tmp_path / "repeat.fcidump"
+        path.write_text((fixtures_dir / "dimer_d1.00.fcidump").read_text() + f" {line}\n")
+        result = runner.invoke(main, ["fci", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "line 12: value 1.5" in result.output
+
     def test_eigensolver_failure_exits_numeric(
         self, runner, fixtures_dir, eigh_fails
     ):
@@ -504,6 +523,20 @@ class TestQcc:
         assert "cannot create output directory" in result.output
         assert tree(tmp_path) == before
 
+    def test_active_electrons_alone_take_the_orbitals_above_the_frozen_pairs(
+        self, runner, fixtures_dir, tmp_path
+    ):
+        manifest = tmp_path / "chain6.manifest.json"
+        manifest.write_text(json.dumps({
+            "schema": "qcc-manifest/1",
+            "geometries": [{"label": "1.00", "fcidump": str(fixtures_dir / "chain6_d1.00.fcidump")}],
+            "active_electrons": 4,
+            "qcc": {"max_iterations": 2},
+        }))
+        run_checked(runner, ["qcc", str(manifest), "--output-dir", str(tmp_path / "out")])
+        trace = json.loads((tmp_path / "out" / "1.00.trace.json").read_text())
+        assert trace["n_qubits"] == 10
+
     def test_failed_geometry_gets_error_row(self, runner, fixtures_dir, tmp_path):
         bad = tmp_path / "broken.fcidump"
         bad.write_text("&FCI NORB=2 &END\n")
@@ -635,6 +668,7 @@ class TestQcc:
             {"qcc": {"energy_tolerance": math.nan}},
             {"qcc": {"prune_threshold": math.inf}},
             {"qcc": {"prune_threshold": "0"}},
+            {"qcc": {"prune_threshold": 1e-12}},  # removed; the prune is fixed
             {"active_electrons": "2"},
             {"active_electrons": -1},
             {"active_orbitals": 2.0},

@@ -326,7 +326,7 @@ class TestSampling:
         estimate = sample_energy(state, grouping, shots=shots, seed=seed)
         assert len(estimate.group_exact) == len(grouping.groups)
         for group, exact in zip(grouping.groups, estimate.group_exact):
-            members = QubitHamiltonian(state.n_qubits, group.members, prune=0.0)
+            members = QubitHamiltonian(state.n_qubits, group.members)
             assert exact == pytest.approx(expectation(state, members), abs=1e-12)
         assert estimate.constant + sum(estimate.group_exact) == pytest.approx(
             expectation(state, h), abs=1e-12

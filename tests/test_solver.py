@@ -349,9 +349,7 @@ class TestQccRun:
         assert trace.initial_energy == pytest.approx(expectation(ref, h), abs=1e-10)
         dressed = h
         for record in trace.iterations:
-            dressed = dress_sequence(
-                dressed, record.generators, prune=cfg.prune_threshold
-            )
+            dressed = dress_sequence(dressed, record.generators)
             assert record.energy == pytest.approx(expectation(ref, dressed), abs=1e-10)
 
     def test_trace_json_round_trip(self, dimer_problem):
@@ -378,19 +376,20 @@ class TestConfig:
             QccConfig(max_iterations=0)
         with pytest.raises(ValueError):
             QccConfig(energy_tolerance=0.0)
-        # counts must be integers, and the tolerance and prune finite numbers
+        # counts must be integers, and the tolerance a finite number
         for bad in (
             {"max_iterations": 2.5},
             {"generators_per_iteration": 1.5},
             {"max_iterations": True},
             {"energy_tolerance": math.nan},
             {"energy_tolerance": math.inf},
-            {"prune_threshold": math.inf},
-            {"prune_threshold": math.nan},
-            {"prune_threshold": "0"},
         ):
             with pytest.raises(ValueError):
                 QccConfig(**bad)
+        # the prune is pauli.DEFAULT_PRUNE, not a setting
+        for value in (math.inf, math.nan, "0"):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                QccConfig.from_mapping({"prune_threshold": value})
 
     def test_from_mapping_rejects_unknown_keys(self):
         cfg = QccConfig.from_mapping({"max_iterations": 7})
