@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -85,37 +85,25 @@ class ElectronIntegrals:
 _NAMELIST_KEY = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=,]*?)(?:,|$)")
 
 
-def _parse_header(lines: list[tuple[int, str]]) -> tuple[dict[str, str], int]:
-    """Read the &FCI namelist; returns (fields, index of first data line)."""
-    if not lines:
+def _parse_header(lines: Iterator[tuple[int, str]]) -> dict[str, str]:
+    """Read the &FCI namelist from `lines`, leaving them at the first data line."""
+    lineno, first = next(lines, (None, ""))
+    if lineno is None:
         raise FcidumpError("empty file")
-    lineno, first = lines[0]
     if not first.lstrip().upper().startswith("&FCI"):
         raise FcidumpError("expected '&FCI' namelist header", lineno)
     header_text = first.lstrip()[4:]
-    consumed = 1
-    terminated = False
-    for lineno, line in lines[1:]:
-        stripped = header_text.strip()
-        if stripped.endswith("&END") or stripped.endswith("/"):
-            terminated = True
-            break
+    while not header_text.strip().endswith(("&END", "/")):
+        lineno, line = next(lines, (None, ""))
+        if lineno is None:
+            raise FcidumpError("namelist header never terminated by '&END' or '/'")
         header_text += " " + line
-        consumed += 1
     stripped = header_text.strip()
-    if stripped.endswith("&END"):
-        header_text = stripped[: -len("&END")]
-        terminated = True
-    elif stripped.endswith("/"):
-        header_text = stripped[:-1]
-        terminated = True
-    if not terminated:
-        raise FcidumpError("namelist header never terminated by '&END' or '/'")
-    fields = {
+    header_text = stripped[: -len("&END")] if stripped.endswith("&END") else stripped[:-1]
+    return {
         key.upper(): value.strip()
         for key, value in _NAMELIST_KEY.findall(header_text)
     }
-    return fields, consumed
 
 
 def parse_fcidump(source: str | TextIO) -> ElectronIntegrals:
@@ -129,12 +117,10 @@ def parse_fcidump(source: str | TextIO) -> ElectronIntegrals:
     only with the same value.
     """
     text = source if isinstance(source, str) else source.read()
-    lines = [
-        (i, line)
-        for i, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    fields, consumed = _parse_header(lines)
+    lines = (
+        (i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()
+    )
+    fields = _parse_header(lines)
     for key in ("NORB", "NELEC"):
         if key not in fields:
             raise FcidumpError(f"namelist is missing {key}")
@@ -154,7 +140,7 @@ def parse_fcidump(source: str | TextIO) -> ElectronIntegrals:
     e_nuclear = 0.0
     # each integral's first line, under one key for all its index orders
     first_line: dict[tuple[int, ...], int] = {}
-    for lineno, line in lines[consumed:]:
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 5:
             raise FcidumpError(

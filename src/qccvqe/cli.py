@@ -463,6 +463,8 @@ def _run_geometry(
             manifest.window,
             manifest.mapping,
         )
+        # the oracle's width check first, so a geometry past it is not solved
+        ground = _ground_energy(geom)
         trace = solver.qcc_run(
             geom.hamiltonian,
             geom.reference,
@@ -470,7 +472,6 @@ def _run_geometry(
             e_inactive=geom.problem.e_inactive,
             e_nuclear=geom.problem.e_nuclear,
         )
-        ground = _ground_energy(geom)
     except (OSError, ValueError, ConfigError) as exc:
         click.echo(f"geometry {entry.label}: {exc}", err=True)
         return _error_row(entry.label, str(exc))

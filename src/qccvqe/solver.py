@@ -105,6 +105,17 @@ def _reference_index(reference: str, n_qubits: int) -> int:
     return basis_index(reference)
 
 
+def _flip_set(basis: np.ndarray) -> np.ndarray:
+    """Sorted unique XORs of all pairs in `basis`.
+
+    Taken 256 rows of the XOR table at a time, so the full table is never held.
+    """
+    return np.unique(np.concatenate([
+        np.unique(basis[i:i + 256, None] ^ basis, return_index=True)[0]
+        for i in range(0, len(basis), 256)
+    ]), return_index=True)[0]
+
+
 def _circuit_energy(
     h: QubitHamiltonian,
     b: int,
@@ -120,7 +131,7 @@ def _circuit_energy(
     for gen in generators:
         basis = np.unique(np.concatenate([basis, _pair_step(gen, basis)[0]]), return_index=True)[0]
     rotations = [_pair_step(gen, basis)[1] for gen in generators]
-    rows, cols, vals = _entries(h, basis, np.unique(basis[:, None] ^ basis, return_index=True)[0])
+    rows, cols, vals = _entries(h, basis, _flip_set(basis))
 
     def energy(ts: Sequence[float]) -> float:
         amp = (basis == np.uint64(b)).astype(np.complex128)

@@ -72,6 +72,10 @@ class TestParse:
         ints = parse_fcidump(io.StringIO(text))
         assert ints.n_orbitals == 1
         assert ints.g2[0, 0, 0, 0] == 0.5
+        # a multi-line header may end in a lone '/'
+        ints = parse_fcidump(" &FCI NORB=2,\n NELEC=2,MS2=0,\n/\n 0.5 1 1 1 1\n-1.0 2 2 0 0\n")
+        assert (ints.n_orbitals, ints.n_electrons) == (2, 2)
+        assert ints.g2[0, 0, 0, 0] == 0.5 and ints.h1[1, 1] == -1.0
 
     def test_orbital_energy_lines_are_ignored(self):
         ints = parse_fcidump(SAMPLE)
@@ -86,23 +90,37 @@ class TestParse:
         assert "line 3" in str(err.value)
 
     def test_rejected_inputs(self):
+        # (text, message start, line); blank lines are skipped but still counted
         cases = [
-            "",
-            "NORB=2\n",
-            " &FCI NELEC=2 &END\n",
-            " &FCI NORB=2,NELEC=2\n 1.0 1 1 1 1\n",
-            " &FCI NORB=0,NELEC=0 &END\n",
-            " &FCI NORB=2,NELEC=5 &END\n",
-            " &FCI NORB=x,NELEC=2 &END\n",
-            " &FCI NORB=2,NELEC=2 &END\n 1.0 1 1 1\n",
-            " &FCI NORB=2,NELEC=2 &END\n 1.0 1 1 1 x\n",
-            " &FCI NORB=2,NELEC=2 &END\n 1.0 3 1 1 1\n",
-            " &FCI NORB=2,NELEC=2 &END\n 1.0 1 1 1 0\n",
-            " &FCI NORB=2,NELEC=2 &END\n 1.0 0 2 0 0\n",
+            ("", "empty file", None),
+            ("NORB=2\n", "expected '&FCI' namelist header", 1),
+            ("\n\nNORB=2\n", "expected '&FCI' namelist header", 3),
+            (" &FCI NELEC=2 &END\n", "namelist is missing NORB", None),
+            (" &FCI NORB=2,NELEC=2\n 1.0 1 1 1 1\n",
+             "namelist header never terminated by '&END' or '/'", None),
+            (" &FCI NORB=0,NELEC=0 &END\n", "NORB must be in 1..128, got 0", None),
+            (" &FCI NORB=2,NELEC=5 &END\n", "NELEC=5 impossible for NORB=2", None),
+            (" &FCI NORB=x,NELEC=2 &END\n", "non-integer namelist value: invalid literal", None),
+            (" &FCI NORB=2,NELEC=2 &END\n 1.0 1 1 1\n",
+             "expected 'value i j k l', got 4 fields", 2),
+            (" &FCI NORB=2,NELEC=2 &END\n 1.0 1 1 1 x\n", "non-integer index in", 2),
+            (" &FCI NORB=2,NELEC=2 &END\n 1.0 3 1 1 1\n",
+             "orbital index 3 out of range 0..2", 2),
+            (" &FCI NORB=2,NELEC=2 &END\n 1.0 1 1 1 0\n", "partial zero indices", 2),
+            (" &FCI NORB=2,NELEC=2 &END\n 1.0 0 2 0 0\n", "partial zero indices", 2),
         ]
-        for text in cases:
-            with pytest.raises(FcidumpError):
+        for text, message, line in cases:
+            with pytest.raises(FcidumpError) as err:
                 parse_fcidump(text)
+            prefix = "" if line is None else f"line {line}: "
+            assert str(err.value).startswith(prefix + message), text
+            assert err.value.line == line, text
+
+    def test_header_only_file_has_zero_integrals(self):
+        ints = parse_fcidump(" &FCI NORB=1,NELEC=0 &END")
+        assert (ints.n_orbitals, ints.n_electrons, ints.ms2) == (1, 0, 0)
+        assert ints.e_nuclear == 0.0
+        assert not ints.h1.any() and not ints.g2.any()
 
     def test_conflicting_repeats_are_refused(self):
         header = " &FCI NORB=2,NELEC=2 &END\n"

@@ -284,6 +284,32 @@ class TestWidthLimit:
             (row,) = csv.DictReader((out_dir / summary).open())
             assert row["status"].startswith("error: 17 active orbitals exceed")
 
+    def test_sweep_skips_the_solve_past_the_oracle(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # 16 qubits fit the Hamiltonian but not the oracle, which is asked first
+        fcidump = tmp_path / "norb8.fcidump"
+        lines = ["&FCI NORB=8,NELEC=2,MS2=0,", "&END"]
+        lines += [f" {-1.0 + 0.01 * i:.6f} {i} {i} 0 0" for i in range(1, 9)]
+        fcidump.write_text("\n".join(lines) + "\n")
+        calls = []
+        qcc_run = solver.qcc_run
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return qcc_run(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "qcc_run", counting)
+        manifest = self.write_manifest(tmp_path, fcidump)
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["qcc", manifest, "--output-dir", str(out_dir)])
+        assert result.exit_code == 3, result.output
+        (row,) = csv.DictReader((out_dir / "summary.csv").open())
+        assert row["status"] == (
+            f"error: oracle ceiling is {oracle.ORACLE_MAX_QUBITS} qubits, got 16"
+        )
+        assert calls == []
+
 
 class TestHugeNorb:
     """A NORB above the parser's ceiling is refused before any integral array exists."""

@@ -35,7 +35,7 @@ from qccvqe import (
     uccsd_excitations,
     uccsd_generator_paulis,
 )
-from qccvqe.solver import _circuit_energy, _two_harmonic_step
+from qccvqe.solver import _circuit_energy, _flip_set, _two_harmonic_step
 
 import reference
 from test_pauli import PROPERTY
@@ -191,6 +191,16 @@ class TestCircuitEnergy:
         # X + Y sends |s> to (1 +- i)|s ^ 1>, which no 2x2 rotation by t is
         with pytest.raises(ValueError, match="modulus 0 or 1"):
             _circuit_energy(h, 0, [[(x1, 1.0), (y1, 1.0)]])
+
+    def test_flip_set_matches_the_full_table(self):
+        # about 700 states, so the table splits into row blocks
+        rng = np.random.default_rng(3)
+        basis = np.unique(rng.integers(0, 1 << 12, 760).astype(np.uint64))
+        assert 600 < basis.size < 800
+        full = np.unique(basis[:, None] ^ basis)
+        flips = _flip_set(basis)
+        assert flips.dtype == np.uint64
+        assert np.array_equal(flips, full)
 
 
 class TestOptimize:
