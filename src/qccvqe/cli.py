@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Iterable, Mapping, NoReturn, Sequence
 import click
 
 from . import __version__, chem, oracle, simulator, solver
-from .pauli import PauliString, QubitHamiltonian
+from .pauli import PauliString, QubitHamiltonian, _json_float
 from .solver import QccConfig, QccTrace
 
 EXIT_PARSE = 2
@@ -60,7 +59,7 @@ def _parse(path: Path, build, data: dict):
     """build(data), a missing key or an unusable value exiting as a parse error."""
     try:
         return build(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         _die(EXIT_PARSE, f"{path}: malformed content: {exc!r}")
 
 
@@ -633,42 +632,33 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
     trace = _parse(trace_path, QccTrace.from_json_dict, data)
     _check_output(output, curve)
     try:
-        result = solver.extrapolate(
-            trace, discard=discard, window=window, thresholds=thresholds
-        )
+        result = solver.extrapolate(trace, discard=discard, window=window, thresholds=thresholds)
     except solver.FitRequestError as exc:
         _die(EXIT_CONFIG, str(exc))
     except solver.ExtrapolationError as exc:
         _die(EXIT_NUMERIC, str(exc))
+    energies = trace.energies
+    try:  # the fit extends back to iteration 1, where float64 may overflow
+        rows = [
+            [i, *map(_fmt, (energies[i], result.fitted_energy(i),
+                            energies[i - 1] - energies[i], result.fitted_difference(i)))]
+            for i in range(1, len(energies))
+        ] if curve is not None else []
+    except OverflowError:
+        _die(EXIT_NUMERIC, "the fitted curve overflows float64 on this trace")
     payload = {
         "schema": "extrapolation/1",
         "a": result.a,
         "b": result.b,
         "e0_estimate": result.e0_estimate,
-        "iter_at_threshold": {
-            f"{t:.1e}": i for t, i in sorted(result.iter_at_threshold.items())
-        },
+        "iter_at_threshold": {f"{t:.1e}": i for t, i in sorted(result.iter_at_threshold.items())},
         "fit_window": {"discard": result.fit_window[0], "window": result.fit_window[1]},
         "residual": result.residual,
     }
     _write_json(output, payload)
     if curve is not None:
-        energies = trace.energies
-        c = result.b + math.log10(10.0 ** (-result.a) - 1.0)
-        _write_csv(
-            Path(curve),
-            ["iteration", "energy", "fitted_energy", "difference", "fitted_difference"],
-            (
-                [
-                    i,
-                    _fmt(energies[i]),
-                    _fmt(result.e0_estimate + 10.0 ** (result.a * i + result.b)),
-                    _fmt(energies[i - 1] - energies[i]),
-                    _fmt(10.0 ** (result.a * i + c)),
-                ]
-                for i in range(1, len(energies))
-            ),
-        )
+        header = ["iteration", "energy", "fitted_energy", "difference", "fitted_difference"]
+        _write_csv(curve, header, rows)
     if output is not None:
         click.echo(f"e0 {_fmt(result.e0_estimate)} -> {output}")
 
@@ -686,7 +676,7 @@ def _circuit_of(data: dict) -> tuple[str, list[tuple[PauliString, float]]]:
         trace = QccTrace.from_json_dict(data)
         return _reference_label(trace.reference), trace.all_generators
     generators = [
-        (PauliString.from_label(g["pauli"]), float(g["tau"]))
+        (PauliString.from_label(g["pauli"]), _json_float(g["tau"]))
         for g in data.get("generators", [])
     ]
     return _reference_label(data["reference"]), generators
@@ -720,11 +710,14 @@ def _measure_state(
             "basis": group.shared_basis,
             "estimate": sampled,
             "exact": group_exact,
-            "difference": group_exact - sampled,
+            "difference": difference,
             "shots": group_shots,
         }
-        for (gid, sampled, group_shots), group_exact, group in zip(
-            estimate.per_group, estimate.group_exact, grouping.groups
+        for (gid, sampled, group_shots), group_exact, (_, difference), group in zip(
+            estimate.per_group,
+            estimate.group_exact,
+            simulator.per_group_error(estimate),
+            grouping.groups,
         )
     ]
     return {

@@ -42,6 +42,23 @@ DEFAULT_PRUNE = 1e-12
 # The combined sort key x << n | z of an n-qubit term must fit in 64 bits.
 HAMILTONIAN_MAX_QUBITS = 32
 
+
+def _json_float(value: object) -> float:
+    """A JSON number as a float; a bool or a string is refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_int(value: object) -> int:
+    """An integral JSON number (2 or 2.0) as an int; 2.7, a bool or a string is refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 _LETTER_OF = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _MASKS_OF = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -222,8 +239,9 @@ class QubitHamiltonian:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QubitHamiltonian":
-        terms = [(PauliString.from_label(t["pauli"]), t["coeff"]) for t in data["terms"]]
-        return cls(int(data["n_qubits"]), terms)
+        terms = [(PauliString.from_label(t["pauli"]), _json_float(t["coeff"]))
+                 for t in data["terms"]]
+        return cls(_json_int(data["n_qubits"]), terms)
 
 
 def dress(

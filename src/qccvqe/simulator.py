@@ -393,7 +393,6 @@ def sample_energy(
     )
 
 
-# No caller in the package; kept while perfbench/spans.py traces it by name.
 def per_group_error(estimate: ShotEstimate) -> list[tuple[int, float]]:
     """(group index, group_exact minus sampled estimate), one entry per group."""
     return [

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, QubitHamiltonian, dress_sequence
+from .pauli import PauliString, QubitHamiltonian, _json_float, _json_int, dress_sequence
 from .simulator import _entries, _pair_step, _pauli_phase_vector, _quadratic_form, basis_index
 
 # Unused here; perfbench/spans.py wraps them by name until ROADMAP item 1 step 1.
@@ -321,24 +321,26 @@ class QccTrace:
         iterations = tuple(
             IterationRecord(
                 generators=tuple(
-                    (PauliString.from_label(g["pauli"]), float(g["tau"]))
+                    (PauliString.from_label(g["pauli"]), _json_float(g["tau"]))
                     for g in it["generators"]
                 ),
-                energy=float(it["energy"]),
-                term_count=int(it["term_count"]),
-                gradients=tuple(float(g) for g in it.get("gradients", ())),
+                energy=_json_float(it["energy"]),
+                term_count=_json_int(it["term_count"]),
+                gradients=tuple(map(_json_float, it.get("gradients", ()))),
             )
             for it in data["iterations"]
         )
+        if not isinstance(data["converged"], bool):
+            raise TypeError(f"converged must be true or false, got {data['converged']!r}")
         return cls(
-            n_qubits=int(data["n_qubits"]),
+            n_qubits=_json_int(data["n_qubits"]),
             reference=str(data["reference"]),
             iterations=iterations,
-            initial_energy=float(data["initial_energy"]),
-            final_energy=float(data["final_energy"]),
-            converged=bool(data["converged"]),
-            e_inactive=float(data.get("e_inactive", 0.0)),
-            e_nuclear=float(data.get("e_nuclear", 0.0)),
+            initial_energy=_json_float(data["initial_energy"]),
+            final_energy=_json_float(data["final_energy"]),
+            converged=data["converged"],
+            e_inactive=_json_float(data.get("e_inactive", 0.0)),
+            e_nuclear=_json_float(data.get("e_nuclear", 0.0)),
         )
 
 
@@ -422,14 +424,25 @@ class FitRequestError(ExtrapolationError):
 
 @dataclass(frozen=True)
 class ExtrapolationResult:
-    """Log-linear fit of energy differences and the implied converged energy."""
+    """Log-linear fit of energy differences and the implied converged energy.
+
+    The fitted line gives E^(i-1) - E^(i) = 10^(a*i + c) and the model
+    E^(i) = E_0 + 10^(a*i + b); both methods raise OverflowError past float64.
+    """
 
     a: float
     b: float
+    c: float
     e0_estimate: float
     iter_at_threshold: dict[float, int]
     fit_window: tuple[int, int]
     residual: float
+
+    def fitted_energy(self, i: int) -> float:
+        return self.e0_estimate + 10.0 ** (self.a * i + self.b)
+
+    def fitted_difference(self, i: int) -> float:
+        return 10.0 ** (self.a * i + self.c)
 
 
 def extrapolate(
@@ -444,9 +457,11 @@ def extrapolate(
     as 10^(a*i + c) with c = b + log10(10^(-a) - 1); fitting the straight
     line recovers a and c, the intercept relation recovers b, and E_0
     follows from the last windowed energy minus its fitted excess. The
-    first `discard` differences are excluded from the fit.
+    first `discard` differences are excluded from the fit. A decay ratio
+    10^a outside (0, 1), or a b, E_0 or threshold crossing that float64
+    cannot hold, raises ExtrapolationError.
     """
-    energies = trace.energies if isinstance(trace, QccTrace) else list(trace)
+    energies = [float(e) for e in (trace.energies if isinstance(trace, QccTrace) else trace)]
     if window < 3:
         raise FitRequestError(f"window must cover at least 3 iterations, got {window}")
     if discard < 0:
@@ -463,32 +478,27 @@ def extrapolate(
     first = discard + 1
     last = discard + window
     iters = np.arange(first, last + 1, dtype=float)
-    diffs = np.array(
-        [energies[i - 1] - energies[i] for i in range(first, last + 1)]
-    )
+    diffs = np.array([energies[i - 1] - energies[i] for i in range(first, last + 1)])
     bad = [int(i) for i, d in zip(iters, diffs) if not 0.0 < d < math.inf]  # NaN too
     if bad:
         raise ExtrapolationError(
             "energy differences must be strictly positive and finite in the fit window", bad
         )
     y = np.log10(diffs)
-    a, c = np.polyfit(iters, y, 1)
-    if a >= 0.0:
-        raise ExtrapolationError(f"fitted slope {a:.3g} is not decaying")
+    a, c = (float(v) for v in np.polyfit(iters, y, 1))
+    if not (a < 0.0 and 0.0 < 10.0 ** a < 1.0):
+        raise ExtrapolationError(f"fitted slope {a:.3g} is not decaying by a float64 ratio < 1")
     residual = float(np.sqrt(np.mean((y - (a * iters + c)) ** 2)))
-    b = c - math.log10(10.0 ** (-a) - 1.0)
-    e0 = energies[last] - 10.0 ** (a * last + b)
-    crossings = {
-        float(t): int(math.ceil((math.log10(t) - c) / a)) for t in thresholds
-    }
-    return ExtrapolationResult(
-        a=float(a),
-        b=float(b),
-        e0_estimate=float(e0),
-        iter_at_threshold=crossings,
-        fit_window=(discard, window),
-        residual=residual,
-    )
+    try:  # 10^-a can overflow, or round to 1
+        b = c - math.log10(10.0 ** (-a) - 1.0)
+        e0 = energies[last] - 10.0 ** (a * last + b)
+    except (OverflowError, ValueError):
+        b = e0 = math.nan
+    steps = [(math.log10(t) - c) / a for t in thresholds]
+    if not all(map(math.isfinite, [b, e0, *steps])):
+        raise ExtrapolationError(f"slope {a:.3g} gives no finite b, E_0 or crossing in float64")
+    crossings = {float(t): math.ceil(step) for t, step in zip(thresholds, steps)}
+    return ExtrapolationResult(a, b, c, e0, crossings, (discard, window), residual)
 
 
 def optimize_uccsd(

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -508,3 +510,14 @@ class TestUccsd:
                 reference.label_matrix(p.to_label()), -2.0 * t * c
             )
         assert np.allclose(u, expected, atol=1e-10)
+
+
+class TestFixtures:
+    def test_make_fixtures_regenerates_every_file(self, fixtures_dir, tmp_path):
+        # the shipped fixtures are deterministic byte for byte, and the bench
+        # builds its inputs from the same functions
+        script = fixtures_dir.parent / "tools" / "make_fixtures.py"
+        subprocess.run([sys.executable, str(script), str(tmp_path)], check=True, capture_output=True)
+        made = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # a qcc run without --output-dir leaves its output directory here
+        assert made == {p.name: p.read_bytes() for p in fixtures_dir.iterdir() if p.is_file()}

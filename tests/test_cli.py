@@ -19,6 +19,8 @@ import qccvqe
 from qccvqe import chem, cli, oracle, simulator, solver
 from qccvqe.cli import main
 
+from conftest import FIXTURES
+
 
 def fmt(value: float) -> str:
     return f"{round(value, 10) + 0.0:.10f}"
@@ -986,6 +988,62 @@ class TestExtrapolateCommand:
             assert "strictly positive" in result.output
 
     @pytest.mark.parametrize(
+        "energies",
+        [[3.0, 2.0, 1.0, 1.1102230246251565e-16], [1e308, 1e-100, 1e-320, 0.0]],
+        ids=["ratio-rounds-to-one", "intercept-overflows"],
+    )
+    def test_unextrapolable_fit_exits_numeric(self, runner, tmp_path, energies):
+        path = self.make_trace(tmp_path, energies)
+        before = tree(tmp_path)
+        outputs = ["--output", str(tmp_path / "e.json"), "--curve", str(tmp_path / "c.csv")]
+        result = runner.invoke(
+            main, ["extrapolate", str(path), "--discard", "0", "--window", "3", *outputs]
+        )
+        assert result.exit_code == 3, result.output
+        assert tree(tmp_path) == before
+
+    def test_curve_overflow_exits_numeric(self, runner, tmp_path):
+        # drops of 1e300, 1e290, 1e280 after five discarded iterations: the fit
+        # is finite, but its line reaches 10^350 back at iteration 1
+        energies = [0.0, 1e280, 1e290 + 1e280]
+        energies = [1e300 + energies[-1]] * 6 + energies[::-1]
+        path = self.make_trace(tmp_path, energies)
+        fit = ["extrapolate", str(path), "--discard", "5", "--window", "3"]
+        run_checked(runner, [*fit, "--output", str(tmp_path / "e.json")])
+        before = tree(tmp_path)
+        outputs = ["--output", str(tmp_path / "f.json"), "--curve", str(tmp_path / "c.csv")]
+        result = runner.invoke(main, [*fit, *outputs])
+        assert result.exit_code == 3, result.output
+        assert "overflows" in result.output
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("converged", "false"),
+            ("term_count", 2.7),
+            ("energy", "-1.0"),
+            ("n_qubits", True),
+            ("gradients", ["0.1"]),
+            ("energy", 10**400),
+        ],
+        ids=["converged-string", "term_count-fraction", "energy-string", "n_qubits-bool",
+             "gradient-string", "energy-beyond-float64"],
+    )
+    def test_loose_json_values_exit_parse(self, runner, tmp_path, key, value):
+        # a string or a bool where a number belongs, a non-integral count, a
+        # non-boolean flag and an integer float64 cannot hold are refused
+        energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
+        path = self.make_trace(tmp_path, energies)
+        payload = json.loads(path.read_text())
+        record = payload if key in payload else payload["iterations"][0]
+        record[key] = value
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["extrapolate", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "malformed content" in result.output
+
+    @pytest.mark.parametrize(
         "outputs",
         [
             ["--curve", "."],
@@ -1200,6 +1258,27 @@ class TestMeasure:
         assert result.exit_code == 2, result.output
 
     @pytest.mark.parametrize(
+        "defect", ["tau true", "coeff string", "n_qubits fraction", "tau string"]
+    )
+    def test_loose_json_values_exit_parse(self, runner, fixtures_dir, tmp_path, defect):
+        # a bool or a string is not an angle or a coefficient, nor 4.5 a width
+        ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
+        ham = json.loads(ham_path.read_text())
+        tau = {"tau true": True, "tau string": "0.1"}.get(defect, 0.1)
+        if defect == "coeff string":
+            ham["terms"][0]["coeff"] = str(ham["terms"][0]["coeff"])
+        elif defect == "n_qubits fraction":
+            ham["n_qubits"] = 4.5
+        ham_path.write_text(json.dumps(ham))
+        circuit = tmp_path / "c.json"
+        circuit.write_text(
+            json.dumps({"reference": "1100", "generators": [{"pauli": "YXII", "tau": tau}]})
+        )
+        result = runner.invoke(main, ["measure", str(ham_path), "--circuit", str(circuit)])
+        assert result.exit_code == 2, result.output
+        assert "malformed content" in result.output
+
+    @pytest.mark.parametrize(
         "metadata", [[], {"reference": 1100}, {"reference": "11a0"}, {"reference": "1 00"}]
     )
     def test_malformed_metadata_exits_parse(self, runner, fixtures_dir, tmp_path, metadata):
@@ -1227,6 +1306,55 @@ class TestMeasure:
         )
         result = runner.invoke(main, ["measure", str(ham_path), "--circuit", str(circuit)])
         assert result.exit_code == 4, result.output
+
+
+def strict_json(path: Path):
+    """Parse a JSON file, refusing the NaN and Infinity tokens JSON does not have."""
+
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestStrictJsonArtifacts:
+    """Every JSON file the CLI writes on the shipped inputs is strict JSON."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.fcidump")))
+    def test_problem_commands(self, runner, fixtures_dir, tmp_path, name):
+        fcidump = str(fixtures_dir / f"{name}.fcidump")
+        for command in (["ham"], ["fci"], ["uccsd", "--optimize"]):
+            run_checked(runner, [*command, fcidump, "--output", str(tmp_path / f"{command[0]}.json")])
+        run_checked(
+            runner,
+            ["measure", str(tmp_path / "ham.json"), "--output", str(tmp_path / "measure.json")],
+        )
+        written = sorted(tmp_path.glob("*.json"))
+        assert [p.stem for p in written] == ["fci", "ham", "measure", "uccsd"]
+        for path in written:
+            strict_json(path)
+
+    @pytest.mark.parametrize("manifest", ["dimer", "chain4"])
+    def test_sweeps_and_their_traces(self, runner, fixtures_dir, tmp_path, manifest):
+        manifest_path = fixtures_dir / f"{manifest}.manifest.json"
+        qcc, pes = tmp_path / "qcc", tmp_path / "pes"
+        run_checked(runner, ["qcc", str(manifest_path), "--output-dir", str(qcc)])
+        run_checked(runner, ["pes", str(manifest_path), "--output-dir", str(pes), "--shots", "1000"])
+        for geometry in json.loads(manifest_path.read_text())["geometries"]:
+            trace, ham = qcc / f"{geometry['label']}.trace.json", tmp_path / "ham.json"
+            fcidump = fixtures_dir / geometry["fcidump"]
+            run_checked(runner, ["ham", str(fcidump), "--output", str(ham)])
+            out = qcc / f"{geometry['label']}.measure.json"
+            run_checked(runner, ["measure", str(ham), "--circuit", str(trace), "--output", str(out)])
+            if len(strict_json(trace)["iterations"]) >= 3:
+                out = qcc / f"{geometry['label']}.fit.json"
+                fit = ["--discard", "0", "--window", "3", "--output", str(out)]
+                run_checked(runner, ["extrapolate", str(trace), *fit])
+        kinds = {".".join(p.name.split(".")[-2:]) for p in tmp_path.rglob("*.json")}
+        expected = {"ham.json", "trace.json", "shots.json", "measure.json"}
+        assert kinds == expected | ({"fit.json"} if manifest == "chain4" else set())
+        for path in tmp_path.rglob("*.json"):
+            strict_json(path)
 
 
 class TestTracedNames:

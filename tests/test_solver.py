@@ -468,6 +468,36 @@ class TestExtrapolate:
         with pytest.raises(FitRequestError):
             extrapolate(energies, thresholds=(1e-3, 0.0))
 
+    @pytest.mark.parametrize(
+        "energies",
+        [
+            # differences 1, 1, 1 - 2**-53: the slope is so small that 10^-a rounds to 1
+            [3.0, 2.0, 1.0, 1.1102230246251565e-16],
+            # slope about -314: 10^-a overflows, so b would be -inf
+            [1e308, 1e-100, 1e-320, 0.0],
+            # growing by a factor 10^310 per step: 10^a itself overflows
+            [0.0, -1e-320, -1e-10, -1e300],
+        ],
+        ids=["ratio-rounds-to-one", "intercept-overflows", "ratio-overflows"],
+    )
+    def test_refuses_fits_float64_cannot_extrapolate(self, energies):
+        # RuntimeWarnings are errors under the suite's filter, so a refusal
+        # must not pass through a numpy overflow either
+        with pytest.raises(ExtrapolationError):
+            extrapolate(energies, discard=0, window=3)
+
+    def test_fitted_curve_follows_the_model(self):
+        e0, a, b = -2.0, -0.1, 0.5
+        energies = geometric_energies(e0, a, b, 50)
+        result = extrapolate(energies, thresholds=(1.6e-3, 1.6e-4, 1e-2))
+        for i in range(1, 50):
+            assert result.fitted_energy(i) == pytest.approx(energies[i], rel=1e-12)
+            assert result.fitted_difference(i) == pytest.approx(
+                energies[i - 1] - energies[i], rel=1e-9
+            )
+        for t, i in result.iter_at_threshold.items():
+            assert result.fitted_difference(i) <= t < result.fitted_difference(i - 1)
+
 
 def uccsd_setup(load_problem, name, n_electrons, mapping):
     """(H, reference label, excitation generators) of a half-filled fixture,
