@@ -221,6 +221,8 @@ class ActiveSpaceProblem:
 def _check_active(window: Sequence[int] | None, n_active_orbitals: int | None) -> None:
     """The CAS checks that need no integrals; cas_reduce runs them, and so
     does the CLI's manifest loader before any geometry."""
+    if n_active_orbitals is not None and n_active_orbitals < 1:
+        raise ValueError(f"active_orbitals must be >= 1, got {n_active_orbitals}")
     if window is not None:
         if not window or len(set(window)) != len(window):
             raise ValueError(f"active window {sorted(window)} is empty or repeats an orbital")
@@ -261,6 +263,8 @@ def cas_reduce(
             f"{n_active_electrons} active electrons of {ints.n_electrons} leave "
             f"{n_inactive_elec} to freeze (negative or odd)"
         )
+    if n_active_electrons < 0:
+        raise ValueError(f"active_electrons must be >= 0, got {n_active_electrons}")
     n_inactive = n_inactive_elec // 2
     if window is None:
         n = ints.n_orbitals - n_inactive if n_active_orbitals is None else n_active_orbitals

@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, NoReturn, Sequence
 import click
 
 from . import __version__, chem, oracle, simulator, solver
-from .pauli import PauliString, QubitHamiltonian, _json_float
-from .solver import QccConfig, QccTrace
+from .pauli import PauliString, QubitHamiltonian, _json_int
+from .solver import QccConfig, QccTrace, _json_rotations
 
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
@@ -64,18 +64,18 @@ def _parse(path: Path, build, data: dict):
 
 
 def _check_output(*paths: Path | None) -> None:
-    """Create the directory of each given path; exit 4 if that fails, a path is a
-    directory or two name one file. Called before any work: a refusal writes nothing."""
+    """Exit 4 if two given paths name one file, a path is a directory or its
+    nearest existing ancestor is not. Creates nothing, so a run refused later
+    leaves no directory; each file's directories are made when it is written."""
     given = list(filter(None, paths))
     if len({path.resolve() for path in given}) < len(given):
         _die(EXIT_CONFIG, f"cannot write {' and '.join(map(str, given))}: they name one file")
     for path in given:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            _die(EXIT_CONFIG, f"cannot write {path}: {exc}")
         if path.is_dir():
             _die(EXIT_CONFIG, f"cannot write {path}: it is a directory")
+        ancestor = next(p for p in path.parents if p.exists())
+        if not ancestor.is_dir():
+            _die(EXIT_CONFIG, f"cannot write {path}: {ancestor} is not a directory")
 
 
 def _check_shots(shots: int) -> None:
@@ -87,15 +87,27 @@ def _check_shots(shots: int) -> None:
 
 
 def _write_text(path: Path, text: str) -> None:
-    _check_output(path)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         _die(EXIT_CONFIG, f"cannot write {path}: {exc}")
 
 
+def _json_text(payload: dict) -> str:
+    """payload as strict JSON; a NaN or an infinity in it raises ValueError."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("a result is NaN or infinite, which JSON cannot hold") from None
+
+
 def _write_json(path: Path | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    """payload to path, or stdout if None; exit 3, writing nothing, if it is not finite."""
+    try:
+        text = _json_text(payload)
+    except ValueError as exc:
+        _die(EXIT_NUMERIC, str(exc))
     if path is None:
         click.echo(text, nl=False)
     else:
@@ -413,7 +425,7 @@ def _load_manifest(
             raise ConfigError(
                 f"orbital_window must be a list of non-negative integers, got {window!r}"
             )
-        n_active_orbitals = _manifest_int(data, "active_orbitals", minimum=1)
+        n_active_orbitals = _manifest_int(data, "active_orbitals")
         chem._check_active(window, n_active_orbitals)
         seed = _manifest_int(data, "seed", minimum=0)
         mapping = data.get("mapping", "jordan_wigner")
@@ -471,16 +483,16 @@ def _run_geometry(
             e_inactive=geom.problem.e_inactive,
             e_nuclear=geom.problem.e_nuclear,
         )
+        text = _json_text(
+            trace.to_json_dict()
+            | {"label": entry.label, "mapping": geom.mapping, "e_fci_active": ground.energy}
+        )
     except (OSError, ValueError, ConfigError) as exc:
         click.echo(f"geometry {entry.label}: {exc}", err=True)
         return _error_row(entry.label, str(exc))
     e_qcc = solver.total_energy(trace)
     e_fci = ground.energy + geom.problem.e_inactive + geom.problem.e_nuclear
-    payload = trace.to_json_dict()
-    payload["label"] = entry.label
-    payload["mapping"] = geom.mapping
-    payload["e_fci_active"] = ground.energy
-    _write_json(manifest.output_dir / f"{entry.label}.trace.json", payload)
+    _write_text(manifest.output_dir / f"{entry.label}.trace.json", text)
     row = {
         "geometry": entry.label,
         "E_qcc_total": _fmt(e_qcc),
@@ -496,13 +508,13 @@ def _run_geometry(
     )
     if shots:
         try:
-            estimate = _measure_state(
+            estimate = _json_text(_measure_state(
                 geom.hamiltonian, trace.reference, trace.all_generators, shots, seed
-            )
+            ))
         except ValueError as exc:
             click.echo(f"geometry {entry.label}: shot emulation: {exc}", err=True)
         else:
-            _write_json(manifest.output_dir / f"{entry.label}.shots.json", estimate)
+            _write_text(manifest.output_dir / f"{entry.label}.shots.json", estimate)
     return row
 
 
@@ -663,38 +675,31 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
         click.echo(f"e0 {_fmt(result.e0_estimate)} -> {output}")
 
 
-def _reference_label(value) -> str:
-    """A reference state label; anything but a 0/1 string is malformed."""
-    if not isinstance(value, str) or not set(value) <= {"0", "1"}:
-        raise ValueError(f"reference must be a 0/1 string, got {value!r}")
-    return value
-
-
-def _circuit_of(data: dict) -> tuple[str, list[tuple[PauliString, float]]]:
-    """Reference label and rotations of a qcc trace or a bare circuit file."""
+def _circuit_of(data: dict) -> tuple[str, Sequence[tuple[PauliString, float]]]:
+    """Reference label and rotations of a qcc trace, held to its own n_qubits,
+    or of a bare circuit file, whose width measure checks against the Hamiltonian."""
     if "iterations" in data:
         trace = QccTrace.from_json_dict(data)
-        return _reference_label(trace.reference), trace.all_generators
-    generators = [
-        (PauliString.from_label(g["pauli"]), _json_float(g["tau"]))
-        for g in data.get("generators", [])
-    ]
-    return _reference_label(data["reference"]), generators
+        return trace.reference, trace.all_generators
+    simulator.basis_index(data["reference"])
+    return data["reference"], _json_rotations(data.get("generators", []))
 
 
 def _metadata_reference(data: dict) -> str | None:
-    """Reference label in a Hamiltonian file's metadata, None if absent."""
+    """Reference label in a Hamiltonian file's metadata, as wide as the file; None if absent."""
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise TypeError(f"metadata must be a JSON object, got {metadata!r}")
     reference = metadata.get("reference")
-    return None if reference is None else _reference_label(reference)
+    if reference is not None:
+        simulator.basis_index(reference, _json_int(data["n_qubits"]))
+    return reference
 
 
 def _measure_state(
     ham: QubitHamiltonian,
     reference: str,
-    generators: list,
+    generators: Sequence[tuple[PauliString, float]],
     shots: int,
     seed: int,
 ) -> dict:

@@ -174,6 +174,8 @@ class QubitHamiltonian:
             raise ValueError("non-finite coefficient")
         masks = np.array([p.key() for p, _ in pairs], dtype=np.uint64).reshape(-1, 2)
         self._assign(n_qubits, masks[:, 0], masks[:, 1], coeff, DEFAULT_PRUNE)
+        if not np.isfinite(self.coeff).all():  # like terms summed past float64
+            raise ValueError("non-finite coefficient")
 
     def _assign(self, n_qubits, x, z, coeff, prune) -> None:
         """Sum like terms (in input order, from 0.0), sort, drop |c| < prune."""

@@ -51,14 +51,14 @@ def _check_shots(shots: int) -> None:
         raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
 
 
-def basis_index(bits: str) -> int:
-    """Index of the basis state labeled by a 0/1 string, qubit 0 leftmost."""
-    index = 0
-    for i, ch in enumerate(bits):
-        if ch not in "01":
-            raise ValueError(f"invalid bit {ch!r} in bitstring {bits!r}")
-        index |= int(ch) << i
-    return index
+def basis_index(bits: str, n_qubits: int | None = None) -> int:
+    """Index of the basis state labeled by a 0/1 string, qubit 0 leftmost, that
+    is n_qubits long if given; any other label raises ValueError."""
+    if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
+        raise ValueError(f"basis-state label must be a string of 0/1 bits, got {bits!r}")
+    if n_qubits is not None and len(bits) != n_qubits:
+        raise ValueError(f"basis-state label {bits!r} does not have {n_qubits} bits")
+    return int(bits[::-1] or "0", 2)
 
 
 def bitstring_label(index: int, n_qubits: int) -> str:
@@ -92,11 +92,7 @@ def prepare_basis_state(n_qubits: int, bits: str | int) -> Statevector:
     """Computational-basis state |bits>; accepts a label string or index."""
     _check_width(n_qubits)
     if isinstance(bits, str):
-        if len(bits) != n_qubits:
-            raise ValueError(
-                f"bitstring length {len(bits)} does not match {n_qubits} qubits"
-            )
-        index = basis_index(bits)
+        index = basis_index(bits, n_qubits)
     else:
         index = int(bits)
         if not 0 <= index < (1 << n_qubits):

@@ -98,13 +98,6 @@ def flip_representative(x_mask: int, n_qubits: int) -> PauliString:
     return PauliString(n_qubits, x_mask, x_mask & -x_mask)
 
 
-def _reference_index(reference: str, n_qubits: int) -> int:
-    """Basis index of a reference label, which needs one 0/1 bit per qubit."""
-    if len(reference) != n_qubits:
-        raise ValueError(f"reference {reference!r} does not have {n_qubits} bits")
-    return basis_index(reference)
-
-
 def _flip_set(basis: np.ndarray) -> np.ndarray:
     """Sorted unique XORs of all pairs in `basis`.
 
@@ -157,7 +150,7 @@ def screen_generators(h: QubitHamiltonian, reference: str) -> list[tuple[int, fl
     GRAD_EPS, ties by ascending mask (the order of the representatives'
     canonical keys, as R's z-mask follows from x).
     """
-    b = np.uint64(_reference_index(reference, h.n_qubits))
+    b = np.uint64(basis_index(reference, h.n_qubits))
     run = np.diff(h.x, prepend=np.uint64(0)) != 0
     column = h.coeff * _pauli_phase_vector(h.x, h.z, b)
     group = np.cumsum(run)  # 0 for the terms flipping no qubit, k for the k-th run
@@ -246,12 +239,23 @@ def optimize_amplitudes(
     from the reference label's. The result never exceeds the reference
     energy, which it is for an empty generator list.
     """
-    b = _reference_index(reference, h.n_qubits)
+    b = basis_index(reference, h.n_qubits)
     # exp(-i tau P / 2) is exp(i t P) at t = -tau / 2; the last generator acts first
     energy = _circuit_energy(h, b, [[(p, 1.0)] for p in reversed(generators)])
     return _coordinate_sweeps(
         len(generators), lambda taus: energy([-0.5 * t for t in reversed(taus)]), _rotosolve_step
     )
+
+
+def _json_rotations(
+    items: Sequence[Mapping], n_qubits: int | None = None
+) -> tuple[tuple[PauliString, float], ...]:
+    """(generator, angle) pairs of a {"pauli", "tau"} list, each generator
+    n_qubits wide when n_qubits is given."""
+    pairs = tuple((PauliString.from_label(g["pauli"]), _json_float(g["tau"])) for g in items)
+    if n_qubits is not None and any(p.n_qubits != n_qubits for p, _ in pairs):
+        raise ValueError(f"every generator must act on {n_qubits} qubits")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -318,12 +322,12 @@ class QccTrace:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QccTrace":
+        """Read a trace; a reference or generator not n_qubits wide is refused."""
+        n_qubits = _json_int(data["n_qubits"])
+        basis_index(data["reference"], n_qubits)
         iterations = tuple(
             IterationRecord(
-                generators=tuple(
-                    (PauliString.from_label(g["pauli"]), _json_float(g["tau"]))
-                    for g in it["generators"]
-                ),
+                generators=_json_rotations(it["generators"], n_qubits),
                 energy=_json_float(it["energy"]),
                 term_count=_json_int(it["term_count"]),
                 gradients=tuple(map(_json_float, it.get("gradients", ()))),
@@ -333,8 +337,8 @@ class QccTrace:
         if not isinstance(data["converged"], bool):
             raise TypeError(f"converged must be true or false, got {data['converged']!r}")
         return cls(
-            n_qubits=_json_int(data["n_qubits"]),
-            reference=str(data["reference"]),
+            n_qubits=n_qubits,
+            reference=data["reference"],
             iterations=iterations,
             initial_energy=_json_float(data["initial_energy"]),
             final_energy=_json_float(data["final_energy"]),
@@ -363,7 +367,7 @@ def qcc_run(
     the diagonal sum of H_dressed.
     """
     cfg = cfg or QccConfig()
-    b = _reference_index(reference, h0.n_qubits)
+    b = basis_index(reference, h0.n_qubits)
     h = h0
     initial_energy = e_prev = _circuit_energy(h, b, [])([])
     records: list[IterationRecord] = []
@@ -516,5 +520,5 @@ def optimize_uccsd(
     like optimize_amplitudes, five evaluations per exact update. The
     circuit starts from the reference label's basis state.
     """
-    energy = _circuit_energy(h, _reference_index(reference, h.n_qubits), generator_terms)
+    energy = _circuit_energy(h, basis_index(reference, h.n_qubits), generator_terms)
     return _coordinate_sweeps(len(generator_terms), energy, _two_harmonic_step)

@@ -215,6 +215,15 @@ class TestActiveSpace:
                     )
                     assert term_hex(got_h) == term_hex(expected_h), (path.name, n_e, n_o)
 
+    def test_counts_below_the_minimum_name_themselves(self):
+        # in the words the CLI's manifest loader uses for the same counts
+        ints = parse_fcidump(SAMPLE)
+        with pytest.raises(ValueError, match="active_electrons must be >= 0, got -2"):
+            cas_reduce(ints, n_active_electrons=-2)
+        for n_o in (0, -2):
+            with pytest.raises(ValueError, match=f"active_orbitals must be >= 1, got {n_o}"):
+                cas_reduce(ints, n_active_orbitals=n_o)
+
     def test_full_window_is_identity_reduction(self):
         ints = parse_fcidump(SAMPLE)
         prob = cas_reduce(ints, range(3), 2)

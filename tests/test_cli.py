@@ -64,6 +64,30 @@ def refuse_to_build(*args):
     raise AssertionError("a geometry was built")
 
 
+def run_child(args, cwd):
+    """qccvqe in a child process, where a RuntimeWarning stays a warning."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "qccvqe.cli", *map(str, args)],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+
+
+def overflowing_fcidump(fixtures_dir, tmp_path, values):
+    """The dimer FCIDUMP with the integrals at the given index columns replaced."""
+    lines = (fixtures_dir / "dimer_d1.00.fcidump").read_text().splitlines()
+    for i, line in enumerate(lines):
+        value, *indices = line.split() or [""]
+        if " ".join(indices) in values:
+            lines[i] = f" {values[' '.join(indices)]}   {'   '.join(indices)}"
+    path = tmp_path / "big.fcidump"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestHam:
     def test_stdout_payload(self, runner, fixtures_dir, dimer_problem):
         prob, h, ref = dimer_problem
@@ -136,6 +160,30 @@ class TestHam:
             )
             assert result.exit_code == 4, (flags, result.output)
             assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "command", [["ham"], ["fci"], ["uccsd", "--optimize"]], ids=lambda c: c[0]
+    )
+    def test_refused_run_leaves_no_directory(self, runner, fixtures_dir, tmp_path, command):
+        bad = tmp_path / "bad.fcidump"
+        bad.write_text((fixtures_dir / "dimer_d1.00.fcidump").read_text() + "abc 1 1 1 1\n")
+        before = tree(tmp_path)
+        result = runner.invoke(
+            main, [*command, str(bad), "--output", str(tmp_path / "nd" / "sub" / "f.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["-e", "-2"], "active_electrons must be >= 0, got -2"),
+         (["-o", "0"], "active_orbitals must be >= 1, got 0")],
+    )
+    def test_bad_cas_counts_name_themselves(self, runner, fixtures_dir, flags, message):
+        # in the words a manifest gets for the same counts
+        result = runner.invoke(main, ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), *flags])
+        assert result.exit_code == 4, result.output
+        assert message in result.stderr
 
     def test_electrons_alone_take_every_orbital_above_the_frozen_pairs(
         self, runner, fixtures_dir
@@ -1002,6 +1050,47 @@ class TestExtrapolateCommand:
         assert result.exit_code == 3, result.output
         assert tree(tmp_path) == before
 
+    def test_refused_fit_leaves_no_directory(self, runner, tmp_path):
+        path = self.make_trace(tmp_path, [3.0, 2.0, 1.0, 1.1102230246251565e-16])
+        before = tree(tmp_path)
+        result = runner.invoke(
+            main,
+            ["extrapolate", str(path), "--discard", "0", "--window", "3",
+             "--output", str(tmp_path / "newdir" / "sub" / "e.json")],
+        )
+        assert result.exit_code == 3, result.output
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["extrapolate", "measure"])
+    @pytest.mark.parametrize(
+        "defect",
+        [("reference", 1100), ("reference", True), ("reference", None),
+         ("reference", "11002"), ("reference", "110"), ("pauli", "YXIIXX")],
+        ids=["number", "true", "null", "not-bits", "narrow", "wide-generator"],
+    )
+    def test_trace_contradicting_its_width_exits_parse(
+        self, runner, fixtures_dir, tmp_path, command, defect
+    ):
+        # a trace holds its reference and generators to its own n_qubits
+        energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
+        path = self.make_trace(tmp_path, energies)
+        payload = json.loads(path.read_text())
+        key, value = defect
+        if key == "reference":
+            payload["reference"] = value
+        else:
+            payload["iterations"][3]["generators"][0]["pauli"] = value
+        path.write_text(json.dumps(payload))
+        ham = tmp_path / "h.json"
+        run_checked(runner, ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), "--output", str(ham)])
+        before = tree(tmp_path)
+        out = ["--output", str(tmp_path / "new" / "out.json")]
+        args = [str(path)] if command == "extrapolate" else [str(ham), "--circuit", str(path)]
+        result = runner.invoke(main, [command, *args, *out])
+        assert result.exit_code == 2, result.output
+        assert "malformed content" in result.output
+        assert tree(tmp_path) == before
+
     def test_curve_overflow_exits_numeric(self, runner, tmp_path):
         # drops of 1e300, 1e290, 1e280 after five discarded iterations: the fit
         # is finite, but its line reaches 10^350 back at iteration 1
@@ -1278,6 +1367,26 @@ class TestMeasure:
         assert result.exit_code == 2, result.output
         assert "malformed content" in result.output
 
+    def test_like_terms_past_float64_exit_parse(self, runner, fixtures_dir, tmp_path):
+        ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
+        ham = json.loads(ham_path.read_text())
+        ham["terms"] = [{"pauli": "ZZZZ", "coeff": 1e308}] * 2
+        ham_path.write_text(json.dumps(ham))
+        before = tree(tmp_path)
+        result = runner.invoke(main, ["measure", str(ham_path), "--output", str(tmp_path / "m.json")])
+        assert result.exit_code == 2, result.output
+        assert "non-finite coefficient" in result.output
+        assert tree(tmp_path) == before
+
+    def test_metadata_reference_must_match_the_width(self, runner, fixtures_dir, tmp_path):
+        ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
+        ham = json.loads(ham_path.read_text())
+        ham["metadata"]["reference"] = "110"
+        ham_path.write_text(json.dumps(ham))
+        result = runner.invoke(main, ["measure", str(ham_path)])
+        assert result.exit_code == 2, result.output
+        assert "malformed content" in result.output
+
     @pytest.mark.parametrize(
         "metadata", [[], {"reference": 1100}, {"reference": "11a0"}, {"reference": "1 00"}]
     )
@@ -1306,6 +1415,59 @@ class TestMeasure:
         )
         result = runner.invoke(main, ["measure", str(ham_path), "--circuit", str(circuit)])
         assert result.exit_code == 4, result.output
+
+
+class TestNonFiniteResults:
+    """A result float64 overflows is refused, never written as NaN or Infinity.
+
+    These runs raise numpy RuntimeWarnings, so they run in a child process.
+    """
+
+    def test_measure_exits_numeric(self, runner, fixtures_dir, tmp_path):
+        ham_path = tmp_path / "h.json"
+        run_checked(runner, ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), "--output", str(ham_path)])
+        ham = json.loads(ham_path.read_text())
+        ham["terms"] = [{"pauli": "ZZZZ", "coeff": 1e308}, {"pauli": "ZZZI", "coeff": 1e308}]
+        ham_path.write_text(json.dumps(ham))
+        before = tree(tmp_path)
+        outputs = ["--output", tmp_path / "new" / "m.json", "--per-group", tmp_path / "g.csv"]
+        result = run_child(["measure", ham_path, *outputs], tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "NaN or infinite" in result.stderr
+        assert tree(tmp_path) == before
+
+    def write_manifest(self, tmp_path, fcidump):
+        path = tmp_path / "big.manifest.json"
+        path.write_text(json.dumps(
+            {"schema": "qcc-manifest/1", "geometries": [{"label": "big", "fcidump": str(fcidump)}]}
+        ))
+        return path
+
+    def test_sweep_writes_no_non_finite_shot_estimate(self, fixtures_dir, tmp_path):
+        fcidump = overflowing_fcidump(
+            fixtures_dir, tmp_path, {"1 1 1 1": "1.7e308", "2 2 2 2": "1.7e308"}
+        )
+        out = tmp_path / "out"
+        result = run_child(
+            ["pes", self.write_manifest(tmp_path, fcidump), "--shots", "100", "--output-dir", out],
+            tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "geometry big: shot emulation: " in result.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["big.trace.json", "pes.csv"]
+        strict_json(out / "big.trace.json")
+
+    def test_sweep_writes_no_non_finite_trace(self, fixtures_dir, tmp_path):
+        # the reference energy 2 h_11 + g_1111 overflows; every mapped term is finite
+        fcidump = overflowing_fcidump(
+            fixtures_dir, tmp_path, {"1 1 1 1": "1e308", "1 1 0 0": "5e307"}
+        )
+        out = tmp_path / "out"
+        result = run_child(["qcc", self.write_manifest(tmp_path, fcidump), "--output-dir", out], tmp_path)
+        assert result.returncode == 3, result.stderr
+        (row,) = csv.DictReader((out / "summary.csv").open())
+        assert row["status"] == "error: a result is NaN or infinite, which JSON cannot hold"
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
 
 
 def strict_json(path: Path):

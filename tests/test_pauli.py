@@ -201,6 +201,12 @@ class TestQubitHamiltonian:
         with pytest.raises(ValueError):
             QubitHamiltonian.from_labels({})
 
+    def test_rejects_like_terms_summing_past_float64(self):
+        zz = PauliString.from_label("ZZ")
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            QubitHamiltonian(2, [(zz, 1e308), (zz, 1e308)])
+        assert QubitHamiltonian(2, [(zz, 1e308), (zz, -1e308)]).coefficient(zz) == 0.0
+
     def test_identity_coefficient_and_lookup(self):
         h = QubitHamiltonian.from_labels({"II": -0.5, "ZZ": 1.5})
         assert h.identity_coefficient == -0.5

@@ -48,6 +48,15 @@ class TestBasisStates:
         assert basis_index("1100") == 3
         assert bitstring_label(3, 4) == "1100"
 
+    @pytest.mark.parametrize(
+        "label", [1100, True, None, ["1", "1", "0", "0"], "11002", "1 00", "110", "11000"]
+    )
+    def test_basis_index_refuses_what_is_not_a_label(self, label):
+        # a str of 0/1 characters, as many as the qubits when a width is given
+        with pytest.raises(ValueError):
+            basis_index(label, 4)
+        assert basis_index("1100", 4) == basis_index("1100") == 3
+
     def test_prepare_from_label_and_index(self):
         a = prepare_basis_state(3, "010")
         b = prepare_basis_state(3, 2)
