@@ -114,7 +114,8 @@ def parse_fcidump(source: str | TextIO) -> ElectronIntegrals:
     (stored symmetrically), a single nonzero index is an orbital-energy
     line and is skipped, and four nonzero indices give (ij|kl) expanded to
     all eight chemist-notation permutations. A line may repeat an integral
-    only with the same value.
+    only with the same value. The header's MS2 (2 S_z, NELEC mod 2 if absent)
+    must have NELEC's parity and be at most NELEC in magnitude.
     """
     text = source if isinstance(source, str) else source.read()
     lines = (
@@ -127,13 +128,15 @@ def parse_fcidump(source: str | TextIO) -> ElectronIntegrals:
     try:
         n_orb = int(fields["NORB"])
         n_elec = int(fields["NELEC"])
-        ms2 = int(fields.get("MS2", "0"))
+        ms2 = int(fields.get("MS2", n_elec % 2))  # the lowest spin if not stated
     except ValueError as exc:
         raise FcidumpError(f"non-integer namelist value: {exc}") from None
     if not 1 <= n_orb <= _MAX_NORB:
         raise FcidumpError(f"NORB must be in 1..{_MAX_NORB}, got {n_orb}")
     if not 0 <= n_elec <= 2 * n_orb:
         raise FcidumpError(f"NELEC={n_elec} impossible for NORB={n_orb}")
+    if abs(ms2) > n_elec or (n_elec - ms2) % 2:
+        raise FcidumpError(f"MS2={ms2} impossible for NELEC={n_elec}")
 
     h1 = np.zeros((n_orb, n_orb))
     g2 = np.zeros((n_orb, n_orb, n_orb, n_orb))

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 import click
+import numpy as np
 
 from . import __version__, chem, oracle, simulator, solver
 from .pauli import PauliString, QubitHamiltonian, _json_int
@@ -45,10 +46,14 @@ def _read_text(path: Path) -> str:
         _die(EXIT_PARSE, f"{path}: not UTF-8 text: {exc}")
 
 
+def _refuse_constant(token: str) -> NoReturn:
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def _load_json(path: Path) -> dict:
     try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        data = json.loads(_read_text(path), parse_constant=_refuse_constant)
+    except ValueError as exc:  # a JSONDecodeError, or a NaN or Infinity token
         _die(EXIT_PARSE, f"{path}: invalid JSON: {exc}")
     if not isinstance(data, dict):
         _die(EXIT_PARSE, f"{path}: top level must be a JSON object")
@@ -235,8 +240,12 @@ def _hamiltonian_payload(geom: GeometryProblem) -> dict:
 
 @click.group()
 @click.version_option(version=__version__, prog_name="qccvqe")
-def main() -> None:
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Variational eigensolver with gradient-screened Pauli entanglers."""
+    # every command refuses a NaN or infinite result where it writes it, so
+    # numpy's overflow warnings on the way there are noise
+    ctx.with_resource(np.errstate(over="ignore", invalid="ignore"))
 
 
 _cas_options = [
@@ -313,6 +322,7 @@ def fci(fcidump, active_electrons, n_orbitals, window, mapping, full_spectrum, o
         "e_nuclear": geom.problem.e_nuclear,
         "e_total": e_total,
         "degenerate": ground.degenerate,
+        "residual": ground.residual,
     }
     _write_json(output, payload)
     if output is not None:

@@ -39,6 +39,10 @@ MAX_QUBITS = 24
 
 _PHASES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
+# OpenBLAS splits a complex matrix-vector product of 4096 or more entries over
+# threads, which moves its last bits
+_ONE_THREAD_PRODUCTS = 4095
+
 
 def _check_width(n_qubits: int) -> None:
     if not 1 <= n_qubits <= MAX_QUBITS:
@@ -117,7 +121,12 @@ def _pauli_phase_vector(x_mask, z_mask, idx) -> np.ndarray:
 
 
 def _entries(
-    h: QubitHamiltonian, basis: np.ndarray, flips: np.ndarray | None = None
+    h: QubitHamiltonian,
+    basis: np.ndarray,
+    flips: np.ndarray | None = None,
+    *,
+    exponent: int = 0,
+    one_thread: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, vals) of the Pauli sum on the sorted basis indices `basis`.
 
@@ -128,8 +137,13 @@ def _entries(
     repeats. Rows that leave the basis are dropped, leaving the block of the
     full matrix on `basis`. Given sorted unique `flips`, only those masks'
     slices are read. With an even Y count in every term read, each phase is
-    +/-1, so the values are returned real.
+    +/-1, so the values are returned real. A nonzero `exponent` gives the
+    entries of 2**-exponent H, scaling the coefficients before they are summed.
+    Each mask's terms are summed by one matmul, whose bits follow the BLAS
+    thread count once it is large; `one_thread=True` splits it into column
+    blocks that OpenBLAS runs on one thread, whatever the count.
     """
+    coeff = np.ldexp(h.coeff, -exponent) if exponent else h.coeff
     idx = basis.astype(np.uint64)
     cols = np.arange(idx.size)
     if flips is None:
@@ -147,7 +161,14 @@ def _entries(
         inside = idx[rows] == flipped
         rows_all.append(rows[inside])
         cols_all.append(cols[inside])
-        vals_all.append((h.coeff[a:b] @ _pauli_phase_vector(x, z, idx))[inside])
+        phases = _pauli_phase_vector(x, z, idx)
+        if one_thread:
+            step = max(1, _ONE_THREAD_PRODUCTS // (b - a))
+            blocks = range(0, idx.size, step)
+            vals = np.concatenate([coeff[a:b] @ phases[:, c : c + step] for c in blocks])
+        else:
+            vals = coeff[a:b] @ phases
+        vals_all.append(vals[inside])
     vals = np.concatenate(vals_all)
     return np.concatenate(rows_all), np.concatenate(cols_all), vals.real if real else vals
 

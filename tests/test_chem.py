@@ -1,10 +1,12 @@
 """FCIDUMP parsing, active-space reduction, and fermion-to-qubit mapping."""
 
 import dataclasses
+import importlib.util
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,16 @@ class TestParse:
             prefix = "" if line is None else f"line {line}: "
             assert str(err.value).startswith(prefix + message), text
             assert err.value.line == line, text
+
+    def test_spin_must_fit_the_electron_count(self):
+        # 2 S_z of NELEC electrons is at most NELEC and has its parity;
+        # an absent MS2 is the lowest spin
+        for nelec, ms2 in ((2, 1), (1, 0), (2, 4), (3, -5)):
+            with pytest.raises(FcidumpError, match=f"MS2={ms2} impossible for NELEC={nelec}"):
+                parse_fcidump(f" &FCI NORB=2,NELEC={nelec},MS2={ms2} &END\n")
+        for nelec, ms2 in ((2, -2), (3, 3), (0, 0)):
+            assert parse_fcidump(f" &FCI NORB=2,NELEC={nelec},MS2={ms2} &END\n").ms2 == ms2
+        assert parse_fcidump(" &FCI NORB=2,NELEC=3 &END\n").ms2 == 1
 
     def test_header_only_file_has_zero_integrals(self):
         ints = parse_fcidump(" &FCI NORB=1,NELEC=0 &END")
@@ -530,3 +542,17 @@ class TestFixtures:
         made = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         # a qcc run without --output-dir leaves its output directory here
         assert made == {p.name: p.read_bytes() for p in fixtures_dir.iterdir() if p.is_file()}
+
+    def test_odd_electron_chain_parses(self, tmp_path):
+        # the tool writes MS2 = NELEC mod 2, a header the parser accepts
+        spec = importlib.util.spec_from_file_location(
+            "make_fixtures", Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+        )
+        model = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(model)
+        h_mo, g_mo = model.to_orbital_basis(*model.site_model(3, 1.0, 0.8)[:2])
+        path = tmp_path / "chain3.fcidump"
+        model.write_fcidump(path, h_mo, g_mo, 1.0, 3)
+        assert path.read_text().splitlines()[0] == " &FCI NORB=  3,NELEC= 3,MS2=1,"
+        ints = parse_fcidump(path.read_text())
+        assert (ints.n_electrons, ints.ms2) == (3, 1)

@@ -40,13 +40,9 @@ def runner():
 
 
 @pytest.fixture()
-def eigh_fails(monkeypatch):
-    """Make every dense block diagonalization in the oracle give up."""
-
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(oracle.np.linalg, "eigh", no_convergence)
+def lanczos_fails(monkeypatch):
+    """Cap every Lanczos solve of the oracle at one step, short of its residual."""
+    monkeypatch.setattr(oracle, "_MAX_STEPS", 1)
 
 
 def run_checked(runner, args, expect=0):
@@ -428,12 +424,37 @@ class TestFci:
         assert result.exit_code == 2, result.output
         assert "line 12: value 1.5" in result.output
 
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # the thread count is read when numpy loads, so each count gets a child
+        # process that runs fci on every shipped FCIDUMP, sector and full space
+        script = (
+            "import sys\n"
+            "from qccvqe.cli import main\n"
+            "for path in sys.argv[1:]:\n"
+            "    for mapping in ('jordan_wigner', 'parity'):\n"
+            "        for flags in ([], ['--full-spectrum']):\n"
+            "            main(['fci', path, '--mapping', mapping, *flags], standalone_mode=False)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        paths = sorted(str(p) for p in FIXTURES.glob("*.fcidump"))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src)}
+            env |= dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+            child = subprocess.run(
+                [sys.executable, "-c", script, *paths], env=env, capture_output=True
+            )
+            assert child.returncode == 0, child.stderr
+            outputs.append(child.stdout)
+        assert outputs[0].count(b'"schema": "fci-result/1"') == 4 * len(paths)
+        assert outputs[0] == outputs[1]
+
     def test_eigensolver_failure_exits_numeric(
-        self, runner, fixtures_dir, eigh_fails
+        self, runner, fixtures_dir, lanczos_fails
     ):
         result = runner.invoke(main, ["fci", str(fixtures_dir / "dimer_d1.00.fcidump")])
         assert result.exit_code == 3, result.output
-        assert "did not converge" in result.stderr
+        assert "Lanczos did not reach a residual of 1e-10 within 1 steps" in result.stderr
 
 
 class TestUccsd:
@@ -644,7 +665,7 @@ class TestQcc:
         assert "broken" in result.stderr
 
     def test_eigensolver_failure_gets_error_row(
-        self, runner, fixtures_dir, tmp_path, eigh_fails
+        self, runner, fixtures_dir, tmp_path, lanczos_fails
     ):
         manifest = tmp_path / "one.manifest.json"
         manifest.write_text(
@@ -664,7 +685,7 @@ class TestQcc:
         result = runner.invoke(main, ["qcc", str(manifest), "--output-dir", str(out_dir)])
         assert result.exit_code == 3, result.output
         (row,) = csv.DictReader((out_dir / "summary.csv").open())
-        assert row["status"].startswith("error: Eigenvalues did not converge")
+        assert row["status"].startswith("error: Lanczos did not reach a residual")
 
     def test_all_failures_exit_numeric(self, runner, tmp_path):
         bad = tmp_path / "broken.fcidump"
@@ -741,8 +762,6 @@ class TestQcc:
             {"qcc": {"max_iterations": 2.5}},
             {"qcc": {"generators_per_iteration": 1.5}},
             {"qcc": {"max_iterations": True}},
-            {"qcc": {"energy_tolerance": math.nan}},
-            {"qcc": {"prune_threshold": math.inf}},
             {"qcc": {"prune_threshold": "0"}},
             {"qcc": {"prune_threshold": 1e-12}},  # removed; the prune is fixed
             {"active_electrons": "2"},
@@ -770,6 +789,13 @@ class TestQcc:
             result = runner.invoke(main, ["pes", str(path)])
             assert result.exit_code == 4, (extra, result.output)
             assert tree(tmp_path) == before
+        # JSON has no NaN or Infinity, so a manifest holding either token is
+        # unreadable (exit 2) before its values are checked
+        for extra in ({"qcc": {"energy_tolerance": math.nan}}, {"qcc": {"prune_threshold": math.inf}}):
+            path = tmp_path / "typed.manifest.json"
+            path.write_text(json.dumps({"schema": "qcc-manifest/1", "geometries": [entry], **extra}))
+            result = runner.invoke(main, ["pes", str(path)])
+            assert result.exit_code == 2, (extra, result.output)
 
         # a label names the output files, so it must stay inside the directory
         for label in ("", ".", "..", "../escape", "a/b", "a\\b", "a\0b"):
@@ -1028,12 +1054,12 @@ class TestExtrapolateCommand:
 
     def test_flat_trace_exits_numeric(self, runner, tmp_path):
         energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
-        # a flat step, a NaN energy, and an infinite drop at the fit window's end
-        for i, value in ((20, energies[19]), (20, math.nan), (40, -math.inf)):
+        # a flat step; a NaN energy or an infinite drop is no JSON value (exit 2)
+        for i, value, code in ((20, energies[19], 3), (20, math.nan, 2), (40, -math.inf, 2)):
             path = self.make_trace(tmp_path, energies[:i] + [value] + energies[i + 1:])
             result = runner.invoke(main, ["extrapolate", str(path)])
-            assert result.exit_code == 3, result.output
-            assert "strictly positive" in result.output
+            assert result.exit_code == code, result.output
+            assert ("strictly positive" if code == 3 else "is not a JSON value") in result.output
 
     @pytest.mark.parametrize(
         "energies",
@@ -1468,6 +1494,73 @@ class TestNonFiniteResults:
         (row,) = csv.DictReader((out / "summary.csv").open())
         assert row["status"] == "error: a result is NaN or infinite, which JSON cannot hold"
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
+
+
+    @pytest.mark.parametrize("case", ["measure", "pes-shots", "qcc"])
+    def test_refusals_print_only_their_line(self, fixtures_dir, tmp_path, case):
+        # the overflows on the way to a refused result print no numpy warning
+        if case == "measure":
+            ham_path = tmp_path / "h.json"
+            run_child(["ham", fixtures_dir / "dimer_d1.00.fcidump", "--output", ham_path], tmp_path)
+            ham = json.loads(ham_path.read_text())
+            ham["terms"] = [{"pauli": "ZZZZ", "coeff": 1e308}, {"pauli": "ZZZI", "coeff": 1e308}]
+            ham_path.write_text(json.dumps(ham))
+            args, line = ["measure", ham_path], "error: a result is NaN or infinite"
+        else:
+            values = (
+                {"1 1 1 1": "1.7e308", "2 2 2 2": "1.7e308"} if case == "pes-shots"
+                else {"1 1 1 1": "1e308", "1 1 0 0": "5e307"}
+            )
+            manifest = self.write_manifest(
+                tmp_path, overflowing_fcidump(fixtures_dir, tmp_path, values)
+            )
+            extra = ["--shots", "100"] if case == "pes-shots" else []
+            args = [case.split("-")[0], manifest, *extra, "--output-dir", tmp_path / "out"]
+            line = "geometry big: shot emulation: " if extra else "geometry big: a result is NaN"
+        result = run_child(args, tmp_path)
+        lines = result.stderr.splitlines()
+        assert lines and lines[0].startswith(line), result.stderr
+        assert lines[1:] == ([] if case != "qcc" else ["error: every geometry failed"])
+
+
+class TestNonFiniteTokens:
+    """JSON has no NaN or Infinity; a file holding one of Python's tokens exits 2."""
+
+    @pytest.mark.parametrize("command", ["extrapolate", "measure", "measure-circuit", "qcc", "pes"])
+    def test_every_reader_refuses_the_tokens(self, runner, fixtures_dir, tmp_path, command):
+        energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
+        trace_path = TestExtrapolateCommand().make_trace(tmp_path, energies)
+        trace = json.loads(trace_path.read_text())
+        ham_path = tmp_path / "h.json"
+        run_checked(runner, ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), "--output", str(ham_path)])
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "schema": "qcc-manifest/1",
+            "geometries": [{"label": "1.00", "fcidump": str(fixtures_dir / "dimer_d1.00.fcidump")}],
+            "qcc": {"energy_tolerance": math.inf if command == "qcc" else -math.inf},
+        }))
+        curve = tmp_path / "new" / "curve.csv"
+        if command == "extrapolate":
+            trace["iterations"][1]["energy"] = math.nan
+            trace_path.write_text(json.dumps(trace))
+            args, bad = ["extrapolate", trace_path, "--curve", curve], trace_path
+        elif command == "measure":
+            ham = json.loads(ham_path.read_text())
+            ham["terms"][0]["coeff"] = math.nan
+            ham_path.write_text(json.dumps(ham))
+            args, bad = ["measure", ham_path], ham_path
+        elif command == "measure-circuit":
+            for record in trace["iterations"]:
+                record["generators"][0]["tau"] = math.nan
+            trace_path.write_text(json.dumps(trace))
+            args, bad = ["measure", ham_path, "--circuit", trace_path], trace_path
+        else:
+            args, bad = [command, manifest, "--output-dir", tmp_path / "new"], manifest
+        result = runner.invoke(main, list(map(str, args)))
+        assert result.exit_code == 2, result.output
+        token = {"qcc": "Infinity", "pes": "-Infinity"}.get(command, "NaN")
+        assert f"{bad}: invalid JSON: {token} is not a JSON value" in result.output
+        assert not (tmp_path / "new").exists()
 
 
 def strict_json(path: Path):

@@ -54,7 +54,7 @@ def write_fcidump(
 ) -> None:
     n = h1.shape[0]
     lines = [
-        f" &FCI NORB={n:3d},NELEC={n_electrons:2d},MS2=0,",
+        f" &FCI NORB={n:3d},NELEC={n_electrons:2d},MS2={n_electrons % 2},",
         "  ORBSYM=" + "1," * n,
         "  ISYM=1,",
         " &END",
