@@ -9,11 +9,10 @@ entries of the Pauli sum on a set of basis states (the C(n, N_e) states of
 the sector, or all 2^n), and a Lanczos solve (Lanczos, J. Res. NBS 45, 255
 (1950)) applies them with `np.bincount`, never forming the matrix.
 
-The kernel sums the entries in matmul blocks that OpenBLAS runs on one
-thread, every reduction here is numpy's pairwise `sum` and the tridiagonal
-problem is solved in Python floats, so no LAPACK call is made and no BLAS
-thread count moves the bits. The solve stops when the Ritz residual
-||Hx - theta x|| is below 1e-10 of the power of two above the largest
+Every sum, in the kernel and here, is the simulator's ufunc reduction, and
+the tridiagonal problem is solved in Python floats, so no LAPACK call is
+made and no BLAS thread count moves the bits. The solve stops when the Ritz
+residual ||Hx - theta x|| is below 1e-10 of the power of two above the largest
 |coefficient|: an eigenvalue lies within that residual of the energy
 (Parlett, The Symmetric Eigenvalue Problem, ch. 4). The whole sector is one
 solve, whatever its connected blocks; a pseudo-random start vector has
@@ -30,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .pauli import PauliString, QubitHamiltonian
-from .simulator import _entries, _indices
+from .simulator import _entries, _indices, _norm, _sum
 
 __all__ = [
     "ORACLE_MAX_QUBITS",
@@ -47,9 +46,6 @@ _DEGENERACY_GAP = 1e-9
 # the largest |coefficient|, and the Lanczos steps it may take to get there.
 _RESIDUAL = 1e-10
 _MAX_STEPS = 300
-
-# numpy's pairwise sum; it makes no BLAS call, so no thread count moves its bits
-_sum = np.add.reduce
 
 
 def _check_size(n_qubits: int) -> None:
@@ -104,10 +100,6 @@ def _start(basis: np.ndarray, run: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0
-
-
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(float(_sum((v.conj() * v).real)))
 
 
 def _tridiagonal_ground(alpha: list[float], beta: list[float], upper: float):
@@ -254,7 +246,7 @@ def exact_ground(
 
     # 2**exponent is above the largest |coefficient|, so no entry sum can overflow
     exponent = math.frexp(float(np.abs(h.coeff).max(initial=0.0)))[1]
-    rows, cols, entries = _entries(h, basis, exponent=exponent, one_thread=True)
+    rows, cols, entries = _entries(h, basis, exponent=exponent)
 
     def apply(v: np.ndarray) -> np.ndarray:
         terms = entries * v[cols]

@@ -4,6 +4,10 @@ Basis-index convention: qubit i is bit i of the computational-basis index,
 so qubit 0 is the least significant bit. Bitstring labels follow the Pauli
 label convention with qubit 0 leftmost. States live in C^(2^n) as complex
 numpy arrays normalized to unit 2-norm.
+
+Every sum that reaches an energy, an estimate or a norm, here and in the
+oracle, is `_sum`, numpy's `add.reduce`: a ufunc reduction (pairwise along a
+contiguous axis) that calls no BLAS, so no thread count moves a bit.
 """
 
 from __future__ import annotations
@@ -39,9 +43,11 @@ MAX_QUBITS = 24
 
 _PHASES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
-# OpenBLAS splits a complex matrix-vector product of 4096 or more entries over
-# threads, which moves its last bits
-_ONE_THREAD_PRODUCTS = 4095
+_sum = np.add.reduce
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(float(_sum((v.conj() * v).real)))
 
 
 def _check_width(n_qubits: int) -> None:
@@ -84,7 +90,7 @@ class Statevector:
             raise ValueError(
                 f"amplitude shape {amp.shape} does not match {self.n_qubits} qubits"
             )
-        norm = np.linalg.norm(amp)
+        norm = _norm(amp)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state not normalized: |psi| = {norm!r}")
         amp = amp.copy()
@@ -126,7 +132,6 @@ def _entries(
     flips: np.ndarray | None = None,
     *,
     exponent: int = 0,
-    one_thread: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, vals) of the Pauli sum on the sorted basis indices `basis`.
 
@@ -139,9 +144,6 @@ def _entries(
     slices are read. With an even Y count in every term read, each phase is
     +/-1, so the values are returned real. A nonzero `exponent` gives the
     entries of 2**-exponent H, scaling the coefficients before they are summed.
-    Each mask's terms are summed by one matmul, whose bits follow the BLAS
-    thread count once it is large; `one_thread=True` splits it into column
-    blocks that OpenBLAS runs on one thread, whatever the count.
     """
     coeff = np.ldexp(h.coeff, -exponent) if exponent else h.coeff
     idx = basis.astype(np.uint64)
@@ -162,12 +164,8 @@ def _entries(
         rows_all.append(rows[inside])
         cols_all.append(cols[inside])
         phases = _pauli_phase_vector(x, z, idx)
-        if one_thread:
-            step = max(1, _ONE_THREAD_PRODUCTS // (b - a))
-            blocks = range(0, idx.size, step)
-            vals = np.concatenate([coeff[a:b] @ phases[:, c : c + step] for c in blocks])
-        else:
-            vals = coeff[a:b] @ phases
+        phases *= coeff[a:b, None]
+        vals = _sum(phases, axis=0)
         vals_all.append(vals[inside])
     vals = np.concatenate(vals_all)
     return np.concatenate(rows_all), np.concatenate(cols_all), vals.real if real else vals
@@ -191,7 +189,9 @@ def _pair_step(generator: Sequence[tuple[PauliString, float]], basis: np.ndarray
         raise ValueError(f"generator terms flip different masks {sorted(masks)}")
     x = np.uint64(masks.pop())
     z = np.array([p.z_mask for p, _ in generator], dtype=np.uint64)[:, None]
-    g = np.array([c for _, c in generator]) @ _pauli_phase_vector(x, z, basis)
+    phases = _pauli_phase_vector(x, z, basis)
+    phases *= np.array([c for _, c in generator])[:, None]
+    g = _sum(phases, axis=0)
     modulus = np.abs(g)
     if (np.minimum(modulus, abs(modulus - 1.0)) > 1e-9).any():
         raise ValueError("generator couplings must have modulus 0 or 1")
@@ -206,11 +206,8 @@ def _pair_step(generator: Sequence[tuple[PauliString, float]], basis: np.ndarray
 
 
 def _quadratic_form(amp: np.ndarray, rows, cols, vals) -> complex:
-    """sum conj(amp[rows]) * vals * amp[cols], one `vdot` per 10,000 entries."""
-    # OpenBLAS splits a complex dot of more than 10,000 entries over threads, moving its last bits
-    chunks = [slice(k, k + 10_000) for k in range(0, max(rows.size, 1), 10_000)]
-    parts = [np.vdot(amp[rows[c]], vals[c] * amp[cols[c]]) for c in chunks]
-    return sum(parts[1:], parts[0])
+    """sum conj(amp[rows]) * vals * amp[cols]."""
+    return _sum(amp.conj()[rows] * vals * amp[cols])
 
 
 def apply_rotation_sequence(
@@ -393,12 +390,12 @@ def sample_energy(
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
         values = _group_values(group, state.n_qubits)
-        mean = float(np.dot(counts, values)) / shots
-        second = float(np.dot(counts, values**2)) / shots
+        mean = float(_sum(counts * values)) / shots
+        second = float(_sum(counts * values**2)) / shots
         variance_of_mean += max(second - mean * mean, 0.0) / shots
         energy += mean
         per_group.append((gid, mean, shots))
-        group_exact.append(float(np.dot(probs, values)))
+        group_exact.append(float(_sum(probs * values)))
     return ShotEstimate(
         energy=energy,
         per_group=tuple(per_group),

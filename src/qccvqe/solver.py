@@ -186,10 +186,13 @@ def _two_harmonic_step(energy_at, e_cur: float) -> tuple[float, float, float]:
     2i conj(c2) = 0; the minimum is the lowest model value at their angles.
     Of values within _SWEEP_TOLERANCE of it, d = 0 included, the shortest
     move wins, since E(d + pi) = E(d) along an excitation on the reference.
+    A curve that is not finite raises ValueError before the root step.
     """
     samples = [e_cur] + [energy_at(2.0 * math.pi * k / 5) for k in range(1, 5)]
     c0, c1, c2 = np.fft.rfft(samples) / 5
     swing = math.hypot(abs(c1), abs(c2))
+    if not math.isfinite(swing):
+        raise ValueError("an energy along the sweep is NaN or infinite")
     if swing <= GRAD_EPS:
         return swing, 0.0, e_cur
     roots = np.roots([2j * c2, 1j * c1, 0, -1j * np.conj(c1), -2j * np.conj(c2)])

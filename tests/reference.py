@@ -459,12 +459,12 @@ def sample_energy(state, grouping, shots: int, seed: int):
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
         values = _group_values(group, state.n_qubits)
-        mean = float(np.dot(counts, values)) / shots
-        second = float(np.dot(counts, values**2)) / shots
+        mean = float(np.add.reduce(counts * values)) / shots
+        second = float(np.add.reduce(counts * values**2)) / shots
         variance_of_mean += max(second - mean * mean, 0.0) / shots
         energy += mean
         per_group.append((gid, mean, shots))
-        group_exact.append(float(np.dot(probs, values)))
+        group_exact.append(float(np.add.reduce(probs * values)))
     return ShotEstimate(
         energy=energy,
         per_group=tuple(per_group),

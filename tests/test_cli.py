@@ -424,30 +424,44 @@ class TestFci:
         assert result.exit_code == 2, result.output
         assert "line 12: value 1.5" in result.output
 
-    def test_same_bytes_at_one_and_two_blas_threads(self):
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
         # the thread count is read when numpy loads, so each count gets a child
-        # process that runs fci on every shipped FCIDUMP, sector and full space
+        # process, in its own directory, that runs fci on every shipped FCIDUMP,
+        # sector and full space, uccsd --optimize on all but chain6 (seconds a
+        # run) and pes with shots on the chain4 manifest
         script = (
             "import sys\n"
+            "from pathlib import Path\n"
             "from qccvqe.cli import main\n"
-            "for path in sys.argv[1:]:\n"
+            "for path in sys.argv[2:]:\n"
             "    for mapping in ('jordan_wigner', 'parity'):\n"
             "        for flags in ([], ['--full-spectrum']):\n"
             "            main(['fci', path, '--mapping', mapping, *flags], standalone_mode=False)\n"
+            "        if 'chain6' not in path:\n"
+            "            output = f'{Path(path).stem}.{mapping}.json'\n"
+            "            args = ['uccsd', path, '--mapping', mapping, '--optimize', '--output', output]\n"
+            "            main(args, standalone_mode=False)\n"
+            "main(['pes', sys.argv[1], '--shots', '4000', '--output-dir', 'pes'], standalone_mode=False)\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         paths = sorted(str(p) for p in FIXTURES.glob("*.fcidump"))
-        outputs = []
+        manifest = str(FIXTURES / "chain4.manifest.json")
+        outputs, written = [], []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": str(src)}
             env |= dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+            cwd = tmp_path / threads
+            cwd.mkdir()
             child = subprocess.run(
-                [sys.executable, "-c", script, *paths], env=env, capture_output=True
+                [sys.executable, "-c", script, manifest, *paths], cwd=cwd, env=env, capture_output=True
             )
             assert child.returncode == 0, child.stderr
             outputs.append(child.stdout)
+            written.append(tree(cwd))
         assert outputs[0].count(b'"schema": "fci-result/1"') == 4 * len(paths)
+        assert len(written[0]) == 2 * (len(paths) - 1) + 1 + 7  # uccsd files, pes/, its 7 files
         assert outputs[0] == outputs[1]
+        assert written[0] == written[1]
 
     def test_eigensolver_failure_exits_numeric(
         self, runner, fixtures_dir, lanczos_fails
@@ -1496,10 +1510,17 @@ class TestNonFiniteResults:
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
 
 
-    @pytest.mark.parametrize("case", ["measure", "pes-shots", "qcc"])
+    @pytest.mark.parametrize("case", ["measure", "pes-shots", "qcc", "uccsd"])
     def test_refusals_print_only_their_line(self, fixtures_dir, tmp_path, case):
         # the overflows on the way to a refused result print no numpy warning
-        if case == "measure":
+        if case == "uccsd":
+            # the energy is NaN at zero amplitudes, before the optimizer's root step
+            fcidump = overflowing_fcidump(
+                fixtures_dir, tmp_path, {"1 1 1 1": "1.7e308", "2 2 2 2": "1.7e308"}
+            )
+            args = ["uccsd", fcidump, "--optimize", "--output", tmp_path / "u.json"]
+            line = "error: an energy along the sweep is NaN or infinite"
+        elif case == "measure":
             ham_path = tmp_path / "h.json"
             run_child(["ham", fixtures_dir / "dimer_d1.00.fcidump", "--output", ham_path], tmp_path)
             ham = json.loads(ham_path.read_text())
@@ -1521,6 +1542,9 @@ class TestNonFiniteResults:
         lines = result.stderr.splitlines()
         assert lines and lines[0].startswith(line), result.stderr
         assert lines[1:] == ([] if case != "qcc" else ["error: every geometry failed"])
+        if case == "uccsd":
+            assert result.returncode == 3
+            assert not (tmp_path / "u.json").exists()
 
 
 class TestNonFiniteTokens:

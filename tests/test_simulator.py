@@ -224,15 +224,21 @@ class TestExpectation:
         assert abs(expectation(ref, dressed) - expectation(circuit, h)) < 1e-10
 
     def test_same_bits_at_any_blas_thread_count(self):
-        # 483,328 entries: OpenBLAS would split one complex dot of them over threads
+        # 483,328 entries and 16,384 outcomes: OpenBLAS would split a complex dot
+        # of the one and the real dots of the other over threads
         script = (
             "import numpy as np\n"
+            "import reference\n"
             "from conftest import build_problem\n"
-            "from qccvqe import Statevector, expectation\n"
+            "from qccvqe import Statevector, expectation, group_qwc, sample_energy\n"
             "_, h, _ = build_problem('chain6_d1.00.fcidump', 6, 6)\n"
             f"rng = np.random.default_rng({RNG_SEED + 9})\n"
             "amp = rng.normal(size=4096) + 1j * rng.normal(size=4096)\n"
             "print(repr(expectation(Statevector(12, amp / np.linalg.norm(amp)), h)))\n"
+            "amp = rng.normal(size=1 << 14) + 1j * rng.normal(size=1 << 14)\n"
+            "state = Statevector(14, amp / np.add.reduce(abs(amp) ** 2) ** 0.5)\n"
+            "est = sample_energy(state, group_qwc(reference.random_hamiltonian(rng, 14, 12)), 4000, 5)\n"
+            "print(repr((est.energy, est.std_error, est.group_exact)))\n"
         )
         tests = Path(__file__).resolve().parent
         path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
