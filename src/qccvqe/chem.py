@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -366,55 +366,57 @@ def build_active_hamiltonian(prob: ActiveSpaceProblem) -> FermionOperator:
     return FermionOperator(n_spin_orbitals=2 * o, terms=terms)
 
 
-LadderTerms = list[tuple[complex, PauliString]]
+def _prefix_parity(bits, n: int):
+    """Bit j becomes the XOR of bits 0..j, for every j < n: shifts 1, 2, 4, ...
+    while below n, on a Python int or a uint64 array."""
+    shift = 1
+    while shift < n:
+        bits = bits ^ (bits << shift)
+        shift *= 2
+    return bits
 
 
-def _jw_ladder(orb: int, n_qubits: int, dagger: bool) -> LadderTerms:
-    """Jordan-Wigner image: a+_p = (X_p - iY_p)/2 times Z on qubits < p."""
-    chain = (1 << orb) - 1
-    x_bit = 1 << orb
-    x_part = PauliString(n_qubits, x_bit, chain)
-    y_part = PauliString(n_qubits, x_bit, chain | x_bit)
-    y_coeff = -0.5j if dagger else 0.5j
-    return [(0.5, x_part), (y_coeff, y_part)]
+class _Encoding(NamedTuple):
+    """One fermion-to-qubit encoding in the form of Seeley, Richard and Love
+    (J. Chem. Phys. 137, 224109 (2012)) with qubit sets U(j), P(j), R(j):
+    a+_j = 1/2 X_{U(j)} (X_j Z_{P(j)} - i Y_j Z_{R(j)}).
 
-
-def _parity_ladder(orb: int, n_qubits: int, dagger: bool) -> LadderTerms:
-    """Parity-encoding image: qubit j stores the occupation parity of 0..j.
-
-    a+_j = X on all update qubits > j times (X_j Z_{j-1} - i Y_j)/2; the
-    Z_{j-1} factor reads the parity of modes below j.
+    `masks(j, n)` gives mode j's shared x mask {j} | U(j), the X factor's z
+    mask P(j) and the Y factor's z mask {j} | R(j). `encode(occupations, n)`
+    gives the basis index and `decode(index, n)` inverts it; both leave bits
+    at n and above for the caller to drop.
     """
-    update = ((1 << n_qubits) - 1) & ~((1 << orb) - 1)
-    z_prev = (1 << (orb - 1)) if orb > 0 else 0
-    xz_part = PauliString(n_qubits, update, z_prev)
-    y_part = PauliString(n_qubits, update, 1 << orb)
-    y_coeff = -0.5j if dagger else 0.5j
-    return [(0.5, xz_part), (y_coeff, y_part)]
+
+    masks: Callable[[int, int], tuple[int, int, int]]
+    encode: Callable
+    decode: Callable
 
 
-_LADDERS: dict[str, Callable[[int, int, bool], LadderTerms]] = {
-    "jordan_wigner": _jw_ladder,
-    "parity": _parity_ladder,
+_ENCODINGS = {
+    # U(j) = {}, P(j) = R(j) = the modes below j; qubit j is occupation j
+    "jordan_wigner": _Encoding(lambda j, n: (1 << j, (1 << j) - 1, (2 << j) - 1),
+                               lambda occupations, n: occupations, lambda index, n: index),
+    # qubit j holds the parity of modes 0..j: U(j) = the modes above j,
+    # P(j) = {j - 1}, R(j) = {}; occupation j is the XOR of qubits j - 1, j
+    "parity": _Encoding(lambda j, n: (((1 << n) - 1) >> j << j, (1 << j) >> 1, 1 << j),
+                        _prefix_parity, lambda index, n: index ^ (index << 1)),
 }
 
-MAPPINGS = tuple(_LADDERS)
+MAPPINGS = tuple(_ENCODINGS)
 
-_ALIASES = {
-    "jw": "jordan_wigner",
-    "jordan-wigner": "jordan_wigner",
-    "jordan_wigner": "jordan_wigner",
-    "parity": "parity",
-}
+_ALIASES = {"jw": "jordan_wigner", "jordan-wigner": "jordan_wigner"}
 
 
 def normalize_mapping(name: str) -> str:
-    try:
-        return _ALIASES[name.strip().lower()]
-    except KeyError:
+    """Canonical name of a mapping, given in any case, alias or padding; any
+    other name, or a non-string, raises ValueError."""
+    key = name.strip().lower() if isinstance(name, str) else None
+    key = _ALIASES.get(key, key)
+    if key not in _ENCODINGS:
         raise ValueError(
-            f"unknown mapping {name!r}; choose from {sorted(set(_ALIASES))}"
-        ) from None
+            f"unknown mapping {name!r}; choose from {sorted([*_ALIASES, *_ENCODINGS])}"
+        )
+    return key
 
 
 def _map_products(
@@ -423,24 +425,25 @@ def _map_products(
     """Expand every ladder product into Pauli strings with complex weights.
 
     Returns canonical (x, z, w) arrays: distinct masks in (x, z) order and
-    their summed weights. From a table of ladder images indexed by (orbital,
-    action, factor), all products expand together, one ladder position at a
-    time: masks and phase exponent from `pauli._product`, weights c1 * c2 *
-    phase, exact (+/-2^-k or +/-2^-k i). The zero-weight copies that
-    padding adds change no sum. Like strings are summed in (term, factor
-    combination) order, as the scalar loop `map_products` in
-    tests/reference.py sums them, so the result is bit-identical to it.
+    their summed weights. From a table of ladder images indexed by (mode,
+    action, factor), read off the encoding's masks, all products expand
+    together, one ladder position at a time: masks and phase exponent from
+    `pauli._product`, weights c1 * c2 * phase, exact (+/-2^-k or +/-2^-k
+    i). The zero-weight copies that padding adds change no sum. Like strings
+    are summed in (term, factor combination) order, as the scalar loop
+    `map_products` in tests/reference.py sums them, so the result is
+    bit-identical to it.
     """
-    ladder = _LADDERS[normalize_mapping(mapping)]
+    encoding = _ENCODINGS[normalize_mapping(mapping)]
     n = op.n_spin_orbitals
     if not 1 <= n <= HAMILTONIAN_MAX_QUBITS:
         raise ValueError(f"n_qubits must be in 1..{HAMILTONIAN_MAX_QUBITS}, got {n}")
-    # Row 2 * orbital + action holds that ladder operator's two factors; the
+    # Row 2 * mode + action holds that ladder operator's X and Y factors; the
     # last row, identity with weights 1 and 0, pads shorter products.
-    factors = [(p.x_mask, p.z_mask, c) for orb in range(n) for action in (0, 1)
-               for c, p in ladder(orb, n, action == 1)] + [(0, 0, 1.0), (0, 0, 0.0)]
-    lx, lz, lw = (np.array(column, dtype).reshape(-1, 2) for column, dtype
-                  in zip(zip(*factors), (np.uint64, np.uint64, np.complex128)))
+    masks = [encoding.masks(j, n) for j in range(n) for _ in (0, 1)] + [(0, 0, 0)]
+    x, zx, zy = np.array(masks, np.uint64).T
+    lx, lz = np.stack([x, x], 1), np.stack([zx, zy], 1)
+    lw = np.array([(0.5, 0.5j), (0.5, -0.5j)] * n + [(1, 0)], np.complex128)
     length = max(map(len, op.terms), default=0)
     rows = [[2 * orb + act for orb, act in ops] + [2 * n] * (length - len(ops)) for ops in op.terms]
     slots = np.array(rows, np.intp).reshape(len(rows), length)
@@ -472,22 +475,10 @@ def map_operator(op: FermionOperator, mapping: str) -> QubitHamiltonian:
 
 
 def occupation_decoder(mapping: str, n_qubits: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized inverse encoding: basis-index array -> occupation bitmask array.
-
-    Under Jordan-Wigner the index bits are the occupations. Under Parity,
-    qubit j holds the parity of occupations 0..j, so occupation j is the
-    XOR of adjacent parity bits.
-    """
-    name = normalize_mapping(mapping)
+    """Vectorized inverse encoding: basis-index array -> occupation bitmask array."""
+    decode = _ENCODINGS[normalize_mapping(mapping)].decode
     mask = np.uint64((1 << n_qubits) - 1)
-    if name == "jordan_wigner":
-        return lambda idx: np.asarray(idx, dtype=np.uint64) & mask
-
-    def from_parity(idx: np.ndarray) -> np.ndarray:
-        b = np.asarray(idx, dtype=np.uint64)
-        return (b ^ (b << np.uint64(1))) & mask
-
-    return from_parity
+    return lambda idx: decode(np.asarray(idx, dtype=np.uint64), n_qubits) & mask
 
 
 def hf_bitstring(n_electrons: int, n_spin_orbitals: int, mapping: str) -> str:
@@ -500,17 +491,8 @@ def hf_bitstring(n_electrons: int, n_spin_orbitals: int, mapping: str) -> str:
         raise ValueError(
             f"{n_electrons} electrons do not fit in {n_spin_orbitals} spin orbitals"
         )
-    occ = (1 << n_electrons) - 1
-    name = normalize_mapping(mapping)
-    if name == "jordan_wigner":
-        bits = occ
-    else:
-        bits = 0
-        parity = 0
-        for j in range(n_spin_orbitals):
-            parity ^= (occ >> j) & 1
-            bits |= parity << j
-    return bitstring_label(bits, n_spin_orbitals)
+    encode = _ENCODINGS[normalize_mapping(mapping)].encode
+    return bitstring_label(encode((1 << n_electrons) - 1, n_spin_orbitals), n_spin_orbitals)
 
 
 @dataclass(frozen=True)

@@ -415,7 +415,9 @@ def _load_manifest(
         entries = []
         seen = set()
         for item in raw_entries:
-            label = str(item["label"])
+            label = item["label"]
+            if not isinstance(label, str):
+                raise ConfigError(f"geometry label {label!r} is not a JSON string")
             if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
                 raise ConfigError(f"geometry label {label!r} is not a plain file name")
             if label in seen:
@@ -438,10 +440,11 @@ def _load_manifest(
         n_active_orbitals = _manifest_int(data, "active_orbitals")
         chem._check_active(window, n_active_orbitals)
         seed = _manifest_int(data, "seed", minimum=0)
-        mapping = data.get("mapping", "jordan_wigner")
-        if not isinstance(mapping, str):
-            raise ConfigError(f"mapping must be a string, got {mapping!r}")
-        cfg_data = dict(data.get("qcc", {}))
+        mapping = chem.normalize_mapping(data.get("mapping", "jordan_wigner"))
+        cfg_data = data.get("qcc", {})
+        if not isinstance(cfg_data, dict):
+            raise ConfigError(f"qcc must be a JSON object, got {cfg_data!r}")
+        cfg_data = dict(cfg_data)
         # qcc.seed is the last-resort shot seed; the solver itself draws nothing.
         qcc_seed = _manifest_int(cfg_data, "seed", minimum=0)
         cfg_data.pop("seed", None)
@@ -458,7 +461,7 @@ def _load_manifest(
             n_active_electrons=_manifest_int(data, "active_electrons", minimum=0),
             n_active_orbitals=n_active_orbitals,
             window=tuple(window) if window is not None else None,
-            mapping=chem.normalize_mapping(mapping),
+            mapping=mapping,
             output_dir=out_dir,
             config=config,
             shots=shots,

@@ -88,6 +88,8 @@ class PauliString:
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Build from a text label, qubit 0 leftmost (e.g. "XZY")."""
+        if not isinstance(label, str):
+            raise ValueError(f"Pauli label must be a string, got {label!r}")
         if not label:
             raise ValueError("empty Pauli label")
         x = z = 0

@@ -337,22 +337,36 @@ def dress_terms(h, p, tau: float, prune: float) -> list[tuple[tuple[int, int], f
     return sorted((q.key(), v) for q, v in out.items() if abs(v) >= prune)
 
 
+def ladder_images(mode: int, n: int, mapping: str, dagger: bool) -> list:
+    """Textbook images of a+_j (dagger) or a_j as [(1/2, X part), (-+i/2, Y part)].
+
+    Jordan-Wigner: X_j Z_{<j} and Y_j Z_{<j}. Parity: X_{>j} X_j Z_{j-1} and
+    X_{>j} Y_j. Written as text labels, qubit 0 leftmost, so no mask of the
+    package's encoding table is read.
+    """
+    j, rest = mode, n - mode - 1
+    x_label, y_label = {
+        "jordan_wigner": ("Z" * j + "X" + "I" * rest, "Z" * j + "Y" + "I" * rest),
+        "parity": (("I" * (j - 1) + "Z" if j else "") + "X" + "X" * rest, "I" * j + "Y" + "X" * rest),
+    }[mapping]
+    return [(0.5, PauliString.from_label(x_label)),
+            (-0.5j if dagger else 0.5j, PauliString.from_label(y_label))]
+
+
 def map_products(op, mapping: str) -> dict:
     """Term-by-term fermion-to-qubit expansion as {PauliString: complex weight}.
 
-    Each ladder product multiplies its factors' images left to right with
-    the scalar `multiply`; like strings are summed in a dict from 0j in
-    (term, factor combination) order.
+    Each ladder product multiplies its factors' `ladder_images` left to
+    right with the scalar `multiply`; like strings are summed in a dict
+    from 0j in (term, factor combination) order. `mapping` is a canonical
+    name: "jordan_wigner" or "parity".
     """
-    from qccvqe.chem import _LADDERS, normalize_mapping
-
-    ladder = _LADDERS[normalize_mapping(mapping)]
     n = op.n_spin_orbitals
     out: dict = {}
     for ops, coeff in op.terms.items():
         acc = [(1.0 + 0.0j, PauliString.identity(n))]
         for orb, action in ops:
-            factors = ladder(orb, n, action == 1)
+            factors = ladder_images(orb, n, mapping, action == 1)
             acc = [
                 (c1 * c2 * prod.phase, prod.string)
                 for c1, p1 in acc

@@ -410,6 +410,52 @@ class TestMappings:
         assert e_jw == pytest.approx(e_parity, abs=1e-10)
 
 
+class TestEncodingTable:
+    """Each encoding's masks, encode and decode, against routes that read none of them."""
+
+    @pytest.mark.parametrize("mapping", chem.MAPPINGS)
+    @pytest.mark.parametrize(
+        "name, n_electrons", [("dimer_d1.00.fcidump", 2), ("chain4_d1.00.fcidump", 4)]
+    )
+    def test_qubit_matrix_is_the_decoded_fermion_matrix(
+        self, load_problem, name, n_electrons, mapping
+    ):
+        # entry (b, c) of the mapped operator is entry (decode b, decode c) of
+        # the occupation-basis matrix built by direct ladder action
+        prob, h, _ = load_problem(name, n_electrons, n_electrons, mapping)
+        op = build_active_hamiltonian(prob)
+        n = op.n_spin_orbitals
+        occupations = occupation_decoder(mapping, n)(np.arange(1 << n)).astype(np.intp)
+        direct = reference.fermion_matrix(n, op.terms)[np.ix_(occupations, occupations)]
+        assert np.abs(reference.ham_matrix(h) - direct).max() <= 1e-12
+
+    @pytest.mark.parametrize("mapping", chem.MAPPINGS)
+    def test_encode_and_decode_invert_each_other(self, mapping):
+        encoding = chem._ENCODINGS[mapping]
+        for n in range(1, 11):
+            mask = (1 << n) - 1
+            idx = np.arange(1 << n, dtype=np.uint64)
+            assert np.array_equal(encoding.encode(encoding.decode(idx, n), n) & mask, idx)
+            assert np.array_equal(encoding.decode(encoding.encode(idx, n), n) & mask, idx)
+            # on Python ints too, as hf_bitstring encodes
+            ints = [encoding.decode(encoding.encode(i, n), n) & mask for i in range(1 << n)]
+            assert ints == list(range(1 << n))
+
+    def test_hf_bitstring_matches_the_prefix_loop(self):
+        # parity qubit j is the running parity of occupations 0..j, at every
+        # width up to 40 and every electron count
+        for n in range(1, 41):
+            for n_electrons in range(n + 1):
+                occ = (1 << n_electrons) - 1
+                bits = parity = 0
+                for j in range(n):
+                    parity ^= (occ >> j) & 1
+                    bits |= parity << j
+                for mapping, index in (("parity", bits), ("jordan_wigner", occ)):
+                    label = "".join(str((index >> j) & 1) for j in range(n))
+                    assert hf_bitstring(n_electrons, n, mapping) == label, (n, n_electrons)
+
+
 def term_hex(h):
     return [(p.key(), c.hex()) for p, c in h.items()]
 

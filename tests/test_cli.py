@@ -791,6 +791,7 @@ class TestQcc:
             {"orbital_window": [0, 0]},
             {"active_orbitals": 3, "orbital_window": [0, 1]},
             {"mapping": 5},
+            {"qcc": [["max_iterations", 3]]},  # pairs, not a JSON object
         ]
         for extra in mistyped:
             path = tmp_path / "typed.manifest.json"
@@ -811,8 +812,12 @@ class TestQcc:
             result = runner.invoke(main, ["pes", str(path)])
             assert result.exit_code == 2, (extra, result.output)
 
-        # a label names the output files, so it must stay inside the directory
-        for label in ("", ".", "..", "../escape", "a/b", "a\\b", "a\0b"):
+        # a label names the output files, so it must be a JSON string, not a
+        # value spelt into one, and stay inside the directory
+        plain = [(label, "not a plain file name")
+                 for label in ("", ".", "..", "../escape", "a/b", "a\\b", "a\0b")]
+        typed = [(label, "is not a JSON string") for label in (None, True, 0.8, ["a"], {"x": 1})]
+        for label, message in plain + typed:
             path = tmp_path / "label.manifest.json"
             path.write_text(
                 json.dumps(
@@ -821,7 +826,7 @@ class TestQcc:
             )
             result = runner.invoke(main, ["pes", str(path), "--shots", "64"])
             assert result.exit_code == 4, (label, result.output)
-            assert "not a plain file name" in result.output
+            assert message in result.output
             assert not (tmp_path / "qcc-out").exists()
         assert not list(tmp_path.rglob("*.trace.json"))
 
@@ -1155,13 +1160,15 @@ class TestExtrapolateCommand:
             ("n_qubits", True),
             ("gradients", ["0.1"]),
             ("energy", 10**400),
+            ("generators", [{"pauli": ["Y", "X", "I", "I"], "tau": 0.1}]),
         ],
         ids=["converged-string", "term_count-fraction", "energy-string", "n_qubits-bool",
-             "gradient-string", "energy-beyond-float64"],
+             "gradient-string", "energy-beyond-float64", "generator-pauli-list"],
     )
     def test_loose_json_values_exit_parse(self, runner, tmp_path, key, value):
         # a string or a bool where a number belongs, a non-integral count, a
-        # non-boolean flag and an integer float64 cannot hold are refused
+        # non-boolean flag, an integer float64 cannot hold and a Pauli label
+        # spelt as a list of letters are refused
         energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
         path = self.make_trace(tmp_path, energies)
         payload = json.loads(path.read_text())
@@ -1387,10 +1394,13 @@ class TestMeasure:
         assert result.exit_code == 2, result.output
 
     @pytest.mark.parametrize(
-        "defect", ["tau true", "coeff string", "n_qubits fraction", "tau string"]
+        "defect",
+        ["tau true", "coeff string", "n_qubits fraction", "tau string", "term pauli list",
+         "generator pauli list"],
     )
     def test_loose_json_values_exit_parse(self, runner, fixtures_dir, tmp_path, defect):
-        # a bool or a string is not an angle or a coefficient, nor 4.5 a width
+        # a bool or a string is not an angle or a coefficient, nor 4.5 a width,
+        # nor a list of letters a Pauli label
         ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
         ham = json.loads(ham_path.read_text())
         tau = {"tau true": True, "tau string": "0.1"}.get(defect, 0.1)
@@ -1398,10 +1408,13 @@ class TestMeasure:
             ham["terms"][0]["coeff"] = str(ham["terms"][0]["coeff"])
         elif defect == "n_qubits fraction":
             ham["n_qubits"] = 4.5
+        elif defect == "term pauli list":
+            ham["terms"][0]["pauli"] = list(ham["terms"][0]["pauli"])
         ham_path.write_text(json.dumps(ham))
+        pauli = list("YXII") if defect == "generator pauli list" else "YXII"
         circuit = tmp_path / "c.json"
         circuit.write_text(
-            json.dumps({"reference": "1100", "generators": [{"pauli": "YXII", "tau": tau}]})
+            json.dumps({"reference": "1100", "generators": [{"pauli": pauli, "tau": tau}]})
         )
         result = runner.invoke(main, ["measure", str(ham_path), "--circuit", str(circuit)])
         assert result.exit_code == 2, result.output

@@ -150,13 +150,17 @@ class TestLanczos:
         assert np.array_equal(large.vector, small.vector)
 
     def test_source_calls_no_blas_lapack_or_random(self):
-        # every reduction is a numpy ufunc, so no thread count moves a bit; the
-        # simulator's one use of `random` is the shot pass's generator
+        # every reduction in every module is a numpy ufunc, so no thread count
+        # moves a bit; the simulator's one use of `random` is the shot pass's
+        # generator
         def mentions(root):
             return [n for n in ast.walk(root) if "random" in (getattr(n, "attr", 0), getattr(n, "id", 0))]
 
-        for module, randoms in ((oracle, []), (simulator, ["sample_energy"])):
-            tree = ast.parse(Path(module.__file__).read_text())
+        modules = sorted(Path(simulator.__file__).parent.glob("*.py"))
+        assert {path.name for path in modules} >= {"oracle.py", "simulator.py", "chem.py", "cli.py"}
+        for module in modules:
+            randoms = ["sample_energy"] if module.name == "simulator.py" else []
+            tree = ast.parse(module.read_text())
             names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
             names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             assert not names & {"linalg", "dot", "vdot", "matmul", "einsum"}, module

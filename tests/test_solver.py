@@ -351,6 +351,23 @@ class TestQccRun:
             assert len(record.generators) == 1
             assert record.gradients[0] > 0.0
 
+    def test_tolerance_stop_discards_a_small_gain(self, chain4_problem):
+        # with a coarse tolerance the run stops inside its budget on an
+        # optimized gain below the tolerance, with flip groups still left
+        _, h, ref_label = chain4_problem
+        cfg = QccConfig(energy_tolerance=1e-3)
+        trace = qcc_run(h, ref_label, cfg)
+        assert trace.converged
+        assert 0 < len(trace.iterations) < cfg.max_iterations
+        dressed = h
+        for record in trace.iterations:
+            dressed = dress_sequence(dressed, record.generators)
+        ranked = screen_generators(dressed, ref_label)
+        assert ranked
+        generators = [flip_representative(x, h.n_qubits) for x, _ in ranked[:cfg.generators_per_iteration]]
+        e_next, _ = optimize_amplitudes(dressed, ref_label, generators)
+        assert trace.final_energy - e_next < cfg.energy_tolerance
+
     def test_recorded_energies_match_the_statevector(self, chain4_problem):
         _, h, ref_label = chain4_problem
         ref = prepare_basis_state(h.n_qubits, ref_label)
@@ -569,6 +586,15 @@ class TestUccsdOptimization:
         )
         assert energy == pytest.approx(gs.energy, abs=1e-6)
         assert len(amplitudes) == 3
+
+    def test_flat_curves_keep_every_amplitude(self, dimer_problem):
+        # on a constant Hamiltonian every amplitude's curve is flat, so each
+        # stays at zero and the energy is the constant
+        prob, _, ref_label = dimer_problem
+        exc = uccsd_excitations(prob.n_active_electrons, prob.n_active_orbitals)
+        generators = uccsd_generator_paulis(exc, prob.n_spin_orbitals, "jw")
+        h = QubitHamiltonian.from_labels({"IIII": 0.5})
+        assert optimize_uccsd(h, ref_label, generators) == (0.5, [0.0, 0.0, 0.0])
 
     def test_empty_generators_rejected(self):
         # an active space without excitations keeps the reference energy
