@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__, chem, oracle, simulator, solver
-from .pauli import PauliString, QubitHamiltonian, _json_int
+from .pauli import PauliString, QubitHamiltonian, _json
 from .solver import QccConfig, QccTrace, _json_rotations
 
 EXIT_PARSE = 2
@@ -391,9 +391,7 @@ class Manifest:
 
 
 def _manifest_int(data: Mapping, key: str, minimum: int | None = None) -> int | None:
-    value = data.get(key)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    value = None if data.get(key) is None else _json(int, data[key])
     if value is not None and minimum is not None and value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return value
@@ -409,15 +407,13 @@ def _load_manifest(
         schema = data.get("schema", "qcc-manifest/1")
         if schema != "qcc-manifest/1":
             raise ConfigError(f"unsupported manifest schema {schema!r}")
-        raw_entries = data.get("geometries")
+        raw_entries = _json(list, data.get("geometries", []))
         if not raw_entries:
             raise ConfigError("manifest lists no geometries")
         entries = []
         seen = set()
         for item in raw_entries:
-            label = item["label"]
-            if not isinstance(label, str):
-                raise ConfigError(f"geometry label {label!r} is not a JSON string")
+            label = _json(str, item["label"])
             if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
                 raise ConfigError(f"geometry label {label!r} is not a plain file name")
             if label in seen:
@@ -426,14 +422,11 @@ def _load_manifest(
             fcid = Path(item["fcidump"])
             if not fcid.is_absolute():
                 fcid = path.parent / fcid
-            if not fcid.exists():
-                raise ConfigError(f"geometry {label!r}: missing file {fcid}")
+            if not fcid.exists() or fcid.is_dir():
+                raise ConfigError(f"geometry {label!r}: no file at {fcid}")
             entries.append(ManifestEntry(label=label, fcidump=fcid))
         window = data.get("orbital_window")
-        if window is not None and not (
-            isinstance(window, list)
-            and all(isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in window)
-        ):
+        if window is not None and any(_json(int, i) < 0 for i in _json(list, window)):
             raise ConfigError(
                 f"orbital_window must be a list of non-negative integers, got {window!r}"
             )
@@ -441,10 +434,7 @@ def _load_manifest(
         chem._check_active(window, n_active_orbitals)
         seed = _manifest_int(data, "seed", minimum=0)
         mapping = chem.normalize_mapping(data.get("mapping", "jordan_wigner"))
-        cfg_data = data.get("qcc", {})
-        if not isinstance(cfg_data, dict):
-            raise ConfigError(f"qcc must be a JSON object, got {cfg_data!r}")
-        cfg_data = dict(cfg_data)
+        cfg_data = dict(_json(dict, data.get("qcc", {})))
         # qcc.seed is the last-resort shot seed; the solver itself draws nothing.
         qcc_seed = _manifest_int(cfg_data, "seed", minimum=0)
         cfg_data.pop("seed", None)
@@ -700,12 +690,9 @@ def _circuit_of(data: dict) -> tuple[str, Sequence[tuple[PauliString, float]]]:
 
 def _metadata_reference(data: dict) -> str | None:
     """Reference label in a Hamiltonian file's metadata, as wide as the file; None if absent."""
-    metadata = data.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise TypeError(f"metadata must be a JSON object, got {metadata!r}")
-    reference = metadata.get("reference")
+    reference = _json(dict, data.get("metadata", {})).get("reference")
     if reference is not None:
-        simulator.basis_index(reference, _json_int(data["n_qubits"]))
+        simulator.basis_index(reference, _json(int, data["n_qubits"]))
     return reference
 
 

@@ -43,19 +43,19 @@ DEFAULT_PRUNE = 1e-12
 HAMILTONIAN_MAX_QUBITS = 32
 
 
-def _json_float(value: object) -> float:
-    """A JSON number as a float; a bool or a string is refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+_JSON_KINDS = {bool: "boolean", int: "integer", float: "number",
+               str: "string", list: "list", dict: "object"}
 
 
-def _json_int(value: object) -> int:
-    """An integral JSON number (2 or 2.0) as an int; 2.7, a bool or a string is refused."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
+def _json(kind: type, value: object):
+    """The one type check of a value read from outside JSON: `value` if it is
+    of `kind`, a key of _JSON_KINDS, with an int asked for as a float returned
+    as one (OverflowError past float64). Anything else raises TypeError: a
+    bool is no number, 2.0 no integer, and a string or an object no list."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{value!r} is not a JSON {_JSON_KINDS[kind]}")
     return value
 
 
@@ -243,9 +243,9 @@ class QubitHamiltonian:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QubitHamiltonian":
-        terms = [(PauliString.from_label(t["pauli"]), _json_float(t["coeff"]))
-                 for t in data["terms"]]
-        return cls(_json_int(data["n_qubits"]), terms)
+        terms = [(PauliString.from_label(t["pauli"]), _json(float, t["coeff"]))
+                 for t in _json(list, data["terms"])]
+        return cls(_json(int, data["n_qubits"]), terms)
 
 
 def dress(

@@ -21,12 +21,13 @@ energy curve, a trigonometric polynomial of degree one (QCC) or two
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, QubitHamiltonian, _json_float, _json_int, dress_sequence
+from .pauli import PauliString, QubitHamiltonian, _json, dress_sequence
 from .simulator import _entries, _pair_step, _pauli_phase_vector, _quadratic_form, basis_index
 
 # Unused here; perfbench/spans.py wraps them by name until ROADMAP item 1 step 1.
@@ -76,7 +77,7 @@ class QccConfig:
         value = self.energy_tolerance
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"energy_tolerance must be a number, got {value!r}")
-        if not math.isfinite(value) or value <= 0:
+        if not 0 < value <= sys.float_info.max:  # NaN fails both; 10**400 is past float64
             raise ValueError(f"energy_tolerance must be finite and positive, got {value!r}")
 
     @classmethod
@@ -255,7 +256,8 @@ def _json_rotations(
 ) -> tuple[tuple[PauliString, float], ...]:
     """(generator, angle) pairs of a {"pauli", "tau"} list, each generator
     n_qubits wide when n_qubits is given."""
-    pairs = tuple((PauliString.from_label(g["pauli"]), _json_float(g["tau"])) for g in items)
+    pairs = tuple((PauliString.from_label(g["pauli"]), _json(float, g["tau"]))
+                  for g in _json(list, items))
     if n_qubits is not None and any(p.n_qubits != n_qubits for p, _ in pairs):
         raise ValueError(f"every generator must act on {n_qubits} qubits")
     return pairs
@@ -326,28 +328,26 @@ class QccTrace:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QccTrace":
         """Read a trace; a reference or generator not n_qubits wide is refused."""
-        n_qubits = _json_int(data["n_qubits"])
+        n_qubits = _json(int, data["n_qubits"])
         basis_index(data["reference"], n_qubits)
         iterations = tuple(
             IterationRecord(
                 generators=_json_rotations(it["generators"], n_qubits),
-                energy=_json_float(it["energy"]),
-                term_count=_json_int(it["term_count"]),
-                gradients=tuple(map(_json_float, it.get("gradients", ()))),
+                energy=_json(float, it["energy"]),
+                term_count=_json(int, it["term_count"]),
+                gradients=tuple(_json(float, g) for g in _json(list, it.get("gradients", []))),
             )
-            for it in data["iterations"]
+            for it in _json(list, data["iterations"])
         )
-        if not isinstance(data["converged"], bool):
-            raise TypeError(f"converged must be true or false, got {data['converged']!r}")
         return cls(
             n_qubits=n_qubits,
             reference=data["reference"],
             iterations=iterations,
-            initial_energy=_json_float(data["initial_energy"]),
-            final_energy=_json_float(data["final_energy"]),
-            converged=data["converged"],
-            e_inactive=_json_float(data.get("e_inactive", 0.0)),
-            e_nuclear=_json_float(data.get("e_nuclear", 0.0)),
+            initial_energy=_json(float, data["initial_energy"]),
+            final_energy=_json(float, data["final_energy"]),
+            converged=_json(bool, data["converged"]),
+            e_inactive=_json(float, data.get("e_inactive", 0.0)),
+            e_nuclear=_json(float, data.get("e_nuclear", 0.0)),
         )
 
 

@@ -18,7 +18,7 @@ from qccvqe import (
     qcc_run,
     to_dense,
 )
-from qccvqe.pauli import HAMILTONIAN_MAX_QUBITS
+from qccvqe.pauli import HAMILTONIAN_MAX_QUBITS, _json
 
 import reference
 from reference import PhasedPauli, commutes, multiply
@@ -244,6 +244,24 @@ class TestQubitHamiltonian:
         assert list(h.items()) == [(low, 2.0), (top, 1.5)]
         with pytest.raises(ValueError, match="n_qubits"):
             QubitHamiltonian(n + 1, {PauliString.identity(n + 1): 1.0})
+
+
+class TestJsonReader:
+    @pytest.mark.parametrize(
+        "kind, value",
+        [(int, True), (float, True), (int, 2.0), (float, "1.0"), (list, ""), (list, {}),
+         (dict, []), (str, None), (bool, 0)],
+    )
+    def test_refuses_another_kind(self, kind, value):
+        with pytest.raises(TypeError, match="is not a JSON"):
+            _json(kind, value)
+
+    def test_returns_its_kind_and_an_int_as_a_float(self):
+        assert _json(int, 3) == 3 and type(_json(float, 3)) is float
+        assert _json(float, 3) == 3.0 and _json(float, -0.5) == -0.5
+        assert _json(bool, False) is False and _json(list, []) == [] and _json(dict, {}) == {}
+        with pytest.raises(OverflowError):
+            _json(float, 10**400)
 
 
 class TestDress:

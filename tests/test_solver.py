@@ -410,6 +410,8 @@ class TestConfig:
             {"max_iterations": True},
             {"energy_tolerance": math.nan},
             {"energy_tolerance": math.inf},
+            {"energy_tolerance": 10**400},  # past float64: no OverflowError
+            {"energy_tolerance": -10**400},
         ):
             with pytest.raises(ValueError):
                 QccConfig(**bad)
