@@ -646,6 +646,10 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
         _die(EXIT_PARSE, f"{trace_path}: expected schema qcc-trace/1")
     trace = _parse(trace_path, QccTrace.from_json_dict, data)
     _check_output(output, curve)
+    distinct = sorted({t for t in thresholds if 0.0 < t < float("inf")})  # the fit refuses the rest
+    labels = [f"{t:.1e}" for t in distinct]
+    if len(set(labels)) < len(labels):
+        _die(EXIT_CONFIG, f"thresholds {distinct} must differ in their keys {labels}")
     try:
         result = solver.extrapolate(trace, discard=discard, window=window, thresholds=thresholds)
     except solver.FitRequestError as exc:

@@ -99,17 +99,6 @@ def flip_representative(x_mask: int, n_qubits: int) -> PauliString:
     return PauliString(n_qubits, x_mask, x_mask & -x_mask)
 
 
-def _flip_set(basis: np.ndarray) -> np.ndarray:
-    """Sorted unique XORs of all pairs in `basis`.
-
-    Taken 256 rows of the XOR table at a time, so the full table is never held.
-    """
-    return np.unique(np.concatenate([
-        np.unique(basis[i:i + 256, None] ^ basis, return_index=True)[0]
-        for i in range(0, len(basis), 256)
-    ]), return_index=True)[0]
-
-
 def _circuit_energy(
     h: QubitHamiltonian,
     b: int,
@@ -119,13 +108,17 @@ def _circuit_energy(
 
     Each generator rotates the pairs of states it couples (the simulator's
     pair step). The reached states, each generator's rotation on them and
-    H's entries there are built once.
+    H's entries there are built once, at the masks of the GF(2) span of the
+    generators' masks: it holds the XOR of any two reached states.
     """
-    basis = np.array([b], dtype=np.uint64)
+    basis, flips = np.array([b], dtype=np.uint64), np.zeros(1, dtype=np.uint64)
     for gen in generators:
         basis = np.unique(np.concatenate([basis, _pair_step(gen, basis)[0]]), return_index=True)[0]
+        x = np.uint64(gen[0][0].x_mask)  # the one mask _pair_step checked
+        if x not in flips:
+            flips = np.concatenate([flips, flips ^ x])
     rotations = [_pair_step(gen, basis)[1] for gen in generators]
-    rows, cols, vals = _entries(h, basis, _flip_set(basis))
+    rows, cols, vals = _entries(h, basis, np.sort(flips))
 
     def energy(ts: Sequence[float]) -> float:
         amp = (basis == np.uint64(b)).astype(np.complex128)

@@ -1226,6 +1226,21 @@ class TestExtrapolateCommand:
         assert "cannot write" in result.output
         assert tree(tmp_path) == before
 
+    def test_thresholds_sharing_a_key_exit_config(self, runner, tmp_path):
+        # 1.6e-3 and 1.64e-3 both print as "1.6e-03", so one crossing would be lost
+        energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
+        path = self.make_trace(tmp_path, energies)
+        out = tmp_path / "fit.json"
+        before = tree(tmp_path)
+        args = ["extrapolate", str(path), "--output", str(out), "--threshold", "1.6e-3"]
+        result = runner.invoke(main, [*args, "--threshold", "1.64e-3"])
+        assert result.exit_code == 4, result.output
+        assert "error: thresholds" in result.output
+        assert tree(tmp_path) == before
+        # the same value twice is one threshold, as before
+        run_checked(runner, [*args, "--threshold", "0.0016"])
+        assert list(json.loads(out.read_text())["iter_at_threshold"]) == ["1.6e-03"]
+
     @pytest.mark.parametrize(
         "flag, value",
         [

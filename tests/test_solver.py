@@ -35,7 +35,9 @@ from qccvqe import (
     uccsd_excitations,
     uccsd_generator_paulis,
 )
-from qccvqe.solver import _circuit_energy, _flip_set, _two_harmonic_step
+from qccvqe import solver
+from qccvqe.simulator import _entries
+from qccvqe.solver import _circuit_energy, _two_harmonic_step
 
 import reference
 from test_pauli import PROPERTY
@@ -192,15 +194,29 @@ class TestCircuitEnergy:
         with pytest.raises(ValueError, match="modulus 0 or 1"):
             _circuit_energy(h, 0, [[(x1, 1.0), (y1, 1.0)]])
 
-    def test_flip_set_matches_the_full_table(self):
-        # about 700 states, so the table splits into row blocks
-        rng = np.random.default_rng(3)
-        basis = np.unique(rng.integers(0, 1 << 12, 760).astype(np.uint64))
-        assert 600 < basis.size < 800
-        full = np.unique(basis[:, None] ^ basis)
-        flips = _flip_set(basis)
+    @PROPERTY
+    @given(circuit_cases())
+    def test_reads_h_at_the_span_of_the_generator_masks(self, case):
+        h, b, generators, _ = case
+        calls = []
+
+        def spy(h, basis, flips):
+            calls.append((basis, flips, _entries(h, basis, flips)))
+            return calls[-1][2]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_entries", spy)
+            _circuit_energy(h, b, generators)
+        [(basis, flips, entries)] = calls
         assert flips.dtype == np.uint64
-        assert np.array_equal(flips, full)
+        assert (flips[1:] > flips[:-1]).all()  # sorted and distinct
+        table = np.unique(basis[:, None] ^ basis)
+        assert np.isin(table, flips).all()
+        if all(len(gen) == 1 for gen in generators):  # QCC reaches the coset b ^ span
+            assert np.array_equal(flips, table)
+        # a span mask that links no two reached states adds no entry
+        for got, full in zip(entries, _entries(h, basis)):
+            assert np.array_equal(got, full)
 
 
 class TestOptimize:
