@@ -646,16 +646,15 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
         _die(EXIT_PARSE, f"{trace_path}: expected schema qcc-trace/1")
     trace = _parse(trace_path, QccTrace.from_json_dict, data)
     _check_output(output, curve)
-    distinct = sorted({t for t in thresholds if 0.0 < t < float("inf")})  # the fit refuses the rest
-    labels = [f"{t:.1e}" for t in distinct]
-    if len(set(labels)) < len(labels):
-        _die(EXIT_CONFIG, f"thresholds {distinct} must differ in their keys {labels}")
     try:
         result = solver.extrapolate(trace, discard=discard, window=window, thresholds=thresholds)
     except solver.FitRequestError as exc:
         _die(EXIT_CONFIG, str(exc))
     except solver.ExtrapolationError as exc:
         _die(EXIT_NUMERIC, str(exc))
+    crossings = {f"{t:.1e}": i for t, i in sorted(result.iter_at_threshold.items())}
+    if len(crossings) < len(result.iter_at_threshold):
+        _die(EXIT_CONFIG, f"thresholds {sorted(result.iter_at_threshold)} share one 2-digit key")
     energies = trace.energies
     try:  # the fit extends back to iteration 1, where float64 may overflow
         rows = [
@@ -670,7 +669,7 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
         "a": result.a,
         "b": result.b,
         "e0_estimate": result.e0_estimate,
-        "iter_at_threshold": {f"{t:.1e}": i for t, i in sorted(result.iter_at_threshold.items())},
+        "iter_at_threshold": crossings,
         "fit_window": {"discard": result.fit_window[0], "window": result.fit_window[1]},
         "residual": result.residual,
     }

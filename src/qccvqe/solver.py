@@ -108,17 +108,20 @@ def _circuit_energy(
 
     Each generator rotates the pairs of states it couples (the simulator's
     pair step). The reached states, each generator's rotation on them and
-    H's entries there are built once, at the masks of the GF(2) span of the
-    generators' masks: it holds the XOR of any two reached states.
+    H's entries there are built once, at H's masks in the GF(2) span of the
+    generators' masks (it holds the XOR of any two reached states), found by
+    reducing H's and the generators' masks together; the span is not listed.
     """
-    basis, flips = np.array([b], dtype=np.uint64), np.zeros(1, dtype=np.uint64)
+    basis = np.array([b], dtype=np.uint64)
     for gen in generators:
         basis = np.unique(np.concatenate([basis, _pair_step(gen, basis)[0]]), return_index=True)[0]
-        x = np.uint64(gen[0][0].x_mask)  # the one mask _pair_step checked
-        if x not in flips:
-            flips = np.concatenate([flips, flips ^ x])
     rotations = [_pair_step(gen, basis)[1] for gen in generators]
-    rows, cols, vals = _entries(h, basis, np.sort(flips))
+    flips = np.unique(h.x, return_index=True)[0]
+    left = np.concatenate([flips, np.array([gen[0][0].x_mask for gen in generators], np.uint64)])
+    for k in range(flips.size, left.size):  # min(m, m ^ x) clears x's leading bit in m
+        if x := left[k]:  # the k-th generator's mask, reduced by the earlier ones
+            left = np.minimum(left, left ^ x)
+    rows, cols, vals = _entries(h, basis, flips[left[:flips.size] == 0])
 
     def energy(ts: Sequence[float]) -> float:
         amp = (basis == np.uint64(b)).astype(np.complex128)

@@ -25,6 +25,7 @@ from qccvqe import (
     expectation,
     extrapolate,
     flip_representative,
+    hf_bitstring,
     occupation_decoder,
     optimize_amplitudes,
     optimize_uccsd,
@@ -194,10 +195,9 @@ class TestCircuitEnergy:
         with pytest.raises(ValueError, match="modulus 0 or 1"):
             _circuit_energy(h, 0, [[(x1, 1.0), (y1, 1.0)]])
 
-    @PROPERTY
-    @given(circuit_cases())
-    def test_reads_h_at_the_span_of_the_generator_masks(self, case):
-        h, b, generators, _ = case
+    @staticmethod
+    def check_flips(h, b, generators):
+        """The flips _circuit_energy hands _entries, checked; their count."""
         calls = []
 
         def spy(h, basis, flips):
@@ -210,13 +210,35 @@ class TestCircuitEnergy:
         [(basis, flips, entries)] = calls
         assert flips.dtype == np.uint64
         assert (flips[1:] > flips[:-1]).all()  # sorted and distinct
-        table = np.unique(basis[:, None] ^ basis)
-        assert np.isin(table, flips).all()
+        masks = np.unique(h.x)
+        assert np.isin(flips, masks).all()
+        linked = np.intersect1d(np.unique(basis[:, None] ^ basis), masks)
+        assert np.isin(linked, flips).all()
         if all(len(gen) == 1 for gen in generators):  # QCC reaches the coset b ^ span
-            assert np.array_equal(flips, table)
+            assert np.array_equal(flips, linked)
         # a span mask that links no two reached states adds no entry
         for got, full in zip(entries, _entries(h, basis)):
             assert np.array_equal(got, full)
+        return flips.size
+
+    @PROPERTY
+    @given(circuit_cases())
+    def test_reads_h_at_its_masks_in_the_generator_span(self, case):
+        h, b, generators, _ = case
+        self.check_flips(h, b, generators)
+
+    @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
+    def test_low_filling_reads_no_more_than_h_masks(self, mapping):
+        # 2 electrons in 12 orbitals: 144 determinants, but the singles'
+        # masks alone span 2^22 flips, which must never be listed
+        n = 24
+        generators = uccsd_generator_paulis(uccsd_excitations(2, 12), n, mapping)
+        rng = np.random.default_rng(RNG_SEED)
+        terms = {p: 0.5 for gen in generators[::7] for p, _ in gen}
+        terms.update(reference.random_hamiltonian(rng, n, 40).items())
+        h = QubitHamiltonian(n, list(terms.items()))
+        b = basis_index(hf_bitstring(2, n, mapping))
+        assert 0 < self.check_flips(h, b, generators) <= np.unique(h.x).size
 
 
 class TestOptimize:
