@@ -109,8 +109,7 @@ def _circuit_energy(
     Each generator rotates the pairs of states it couples (the simulator's
     pair step). The reached states, each generator's rotation on them and
     H's entries there are built once, at H's masks in the GF(2) span of the
-    generators' masks (it holds the XOR of any two reached states), found by
-    reducing H's and the generators' masks together; the span is not listed.
+    generators' masks, which holds the XOR of any two reached states.
     """
     basis = np.array([b], dtype=np.uint64)
     for gen in generators:
