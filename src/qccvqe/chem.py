@@ -227,8 +227,9 @@ def _check_active(window: Sequence[int] | None, n_active_orbitals: int | None) -
     if n_active_orbitals is not None and n_active_orbitals < 1:
         raise ValueError(f"active_orbitals must be >= 1, got {n_active_orbitals}")
     if window is not None:
-        if not window or len(set(window)) != len(window):
-            raise ValueError(f"active window {sorted(window)} is empty or repeats an orbital")
+        if not window or len(set(window)) != len(window) or min(window) < 0:
+            raise ValueError(f"active window {sorted(window)} is empty, repeats an orbital "
+                             "or holds a negative one")
         if n_active_orbitals not in (None, len(window)):
             raise ValueError(f"active window {sorted(window)} holds {len(window)} "
                              f"orbitals, not {n_active_orbitals}")
@@ -274,7 +275,7 @@ def cas_reduce(
         window = range(n_inactive, n_inactive + n)
     active = sorted(int(u) for u in window)
     _check_active(active, n_active_orbitals)
-    if active[0] < 0 or active[-1] >= ints.n_orbitals:
+    if active[-1] >= ints.n_orbitals:
         raise ValueError(
             f"active window {active} exceeds orbital range 0..{ints.n_orbitals - 1}"
         )

@@ -83,10 +83,10 @@ def _check_output(*paths: Path | None) -> None:
             _die(EXIT_CONFIG, f"cannot write {path}: {ancestor} is not a directory")
 
 
-def _check_shots(shots: int) -> None:
-    """Exit 4 on a shot count that the shot emulation would refuse."""
+def _check_sampling(shots: int | None, seed: int | None) -> None:
+    """Exit 4 on a shot count or seed that the shot emulation would refuse."""
     try:
-        simulator._check_shots(shots)
+        simulator._check_sampling(shots, seed)
     except ValueError as exc:
         _die(EXIT_CONFIG, str(exc))
 
@@ -419,33 +419,26 @@ def _load_manifest(
             if label in seen:
                 raise ConfigError(f"duplicate geometry label {label!r}")
             seen.add(label)
-            fcid = Path(item["fcidump"])
-            if not fcid.is_absolute():
-                fcid = path.parent / fcid
+            fcid = path.parent / _json(str, item["fcidump"])
             if not fcid.exists() or fcid.is_dir():
                 raise ConfigError(f"geometry {label!r}: no file at {fcid}")
             entries.append(ManifestEntry(label=label, fcidump=fcid))
         window = data.get("orbital_window")
-        if window is not None and any(_json(int, i) < 0 for i in _json(list, window)):
-            raise ConfigError(
-                f"orbital_window must be a list of non-negative integers, got {window!r}"
-            )
+        if window is not None:
+            window = [_json(int, i) for i in _json(list, window)]
         n_active_orbitals = _manifest_int(data, "active_orbitals")
         chem._check_active(window, n_active_orbitals)
-        seed = _manifest_int(data, "seed", minimum=0)
+        seed = _manifest_int(data, "seed")
         mapping = chem.normalize_mapping(data.get("mapping", "jordan_wigner"))
         cfg_data = dict(_json(dict, data.get("qcc", {})))
         # qcc.seed is the last-resort shot seed; the solver itself draws nothing.
-        qcc_seed = _manifest_int(cfg_data, "seed", minimum=0)
+        qcc_seed = _manifest_int(cfg_data, "seed")
         cfg_data.pop("seed", None)
         cfg_data.update((k, v) for k, v in config_overrides.items() if v is not None)
         config = QccConfig.from_mapping(cfg_data)
         shots = _manifest_int(data, "shots")
-        if shots is not None:
-            simulator._check_shots(shots)
-        out_dir = output_override or Path(data.get("output_dir", "qcc-out"))
-        if not out_dir.is_absolute() and output_override is None:
-            out_dir = path.parent / out_dir
+        simulator._check_sampling(shots, seed, qcc_seed)
+        out_dir = output_override or path.parent / _json(str, data.get("output_dir", "qcc-out"))
         return Manifest(
             entries=tuple(sorted(entries, key=lambda e: e.label)),
             n_active_electrons=_manifest_int(data, "active_electrons", minimum=0),
@@ -469,6 +462,12 @@ def _run_geometry(
     Returns the geometry's summary row; a failed build or solve gives an
     error row and a message on stderr instead of a trace.
     """
+    for kind in ("trace", "shots"):  # an earlier run's, gone even if this run fails
+        stale = manifest.output_dir / f"{entry.label}.{kind}.json"
+        try:
+            stale.unlink(missing_ok=True)
+        except OSError as exc:
+            _die(EXIT_CONFIG, f"cannot remove {stale}: {exc}")
     try:
         geom = _build_problem(
             entry.fcidump,
@@ -614,10 +613,7 @@ def qcc(manifest_path, output_dir, **overrides):
               help="Shot seed (overrides the manifest's).")
 def pes(manifest_path, output_dir, shots, seed, **overrides):
     """Composite potential-energy-surface sweep: QCC + exact reference per point."""
-    if shots is not None:
-        _check_shots(shots)
-    if seed is not None and seed < 0:
-        _die(EXIT_CONFIG, f"seed must be non-negative, got {seed}")
+    _check_sampling(shots, seed)
     manifest = _load_manifest(manifest_path, output_dir, overrides)
     _run_manifest(
         manifest,
@@ -641,10 +637,7 @@ def pes(manifest_path, output_dir, shots, seed, **overrides):
               help="Also write the fitted convergence curve as CSV.")
 def extrapolate(trace_path, discard, window, thresholds, output, curve):
     """Fit the energy-difference decay of a trace and extrapolate."""
-    data = _load_json(trace_path)
-    if data.get("schema") != "qcc-trace/1":
-        _die(EXIT_PARSE, f"{trace_path}: expected schema qcc-trace/1")
-    trace = _parse(trace_path, QccTrace.from_json_dict, data)
+    trace = _parse(trace_path, QccTrace.from_json_dict, _load_json(trace_path))
     _check_output(output, curve)
     try:
         result = solver.extrapolate(trace, discard=discard, window=window, thresholds=thresholds)
@@ -682,9 +675,10 @@ def extrapolate(trace_path, discard, window, thresholds, output, curve):
 
 
 def _circuit_of(data: dict) -> tuple[str, Sequence[tuple[PauliString, float]]]:
-    """Reference label and rotations of a qcc trace, held to its own n_qubits,
-    or of a bare circuit file, whose width measure checks against the Hamiltonian."""
-    if "iterations" in data:
+    """Reference label and rotations of a qcc trace (any object with an
+    iterations or a schema key), held to its own n_qubits, or of a bare
+    circuit file, whose width measure checks against the Hamiltonian."""
+    if "iterations" in data or "schema" in data:
         trace = QccTrace.from_json_dict(data)
         return trace.reference, trace.all_generators
     simulator.basis_index(data["reference"])
@@ -767,9 +761,7 @@ def measure(hamiltonian_path, circuit, shots, seed, output, per_group):
         if reference is None:
             _die(EXIT_CONFIG, "no --circuit and no reference in the Hamiltonian metadata")
         generators = []
-    _check_shots(shots)
-    if seed < 0:
-        _die(EXIT_CONFIG, f"seed must be non-negative, got {seed}")
+    _check_sampling(shots, seed)
     widths = {len(reference)} | {p.n_qubits for p, _ in generators}
     if widths != {ham.n_qubits}:
         _die(EXIT_CONFIG, f"circuit on {sorted(widths)} qubits, Hamiltonian on {ham.n_qubits}")

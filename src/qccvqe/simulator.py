@@ -55,10 +55,14 @@ def _check_width(n_qubits: int) -> None:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
-def _check_shots(shots: int) -> None:
+def _check_sampling(shots: int | None, *seeds: int | None) -> None:
+    """The one check of the sampling settings; a None is not checked."""
     # rng.multinomial takes the count as a C long
-    if not 1 <= shots < 2**63:
+    if shots is not None and not 1 <= shots < 2**63:
         raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
+    for seed in seeds:
+        if seed is not None and seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def basis_index(bits: str, n_qubits: int | None = None) -> int:
@@ -378,7 +382,7 @@ def sample_energy(
         raise ValueError(
             f"qubit-count mismatch: {grouping.n_qubits} vs {state.n_qubits}"
         )
-    _check_shots(shots)
+    _check_sampling(shots, seed)
     rng = np.random.default_rng(seed)
     energy = grouping.constant
     variance_of_mean = 0.0

@@ -322,7 +322,10 @@ class QccTrace:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QccTrace":
-        """Read a trace; a reference or generator not n_qubits wide is refused."""
+        """Read a trace; a schema other than qcc-trace/1, or a reference or
+        generator not n_qubits wide, is refused."""
+        if data.get("schema") != "qcc-trace/1":
+            raise ValueError(f"expected schema qcc-trace/1, got {data.get('schema')!r}")
         n_qubits = _json(int, data["n_qubits"])
         basis_index(data["reference"], n_qubits)
         iterations = tuple(

@@ -164,6 +164,24 @@ class TestHam:
             assert result.exit_code == 4, (flags, result.output)
             assert tree(tmp_path) == before
 
+    def test_negative_window_gets_one_message_from_flag_and_manifest(
+        self, runner, fixtures_dir, tmp_path
+    ):
+        fcidump = fixtures_dir / "dimer_d1.00.fcidump"
+        manifest = tmp_path / "m.manifest.json"
+        manifest.write_text(json.dumps({
+            "schema": "qcc-manifest/1",
+            "geometries": [{"label": "a", "fcidump": str(fcidump)}],
+            "orbital_window": [-1, 0],
+        }))
+        flag = runner.invoke(main, ["ham", str(fcidump), "--window", "-1,0"])
+        listed = runner.invoke(main, ["pes", str(manifest)])
+        message = "active window [-1, 0] is empty, repeats an orbital or holds a negative one"
+        assert flag.exit_code == listed.exit_code == 4, (flag.output, listed.output)
+        assert flag.stderr == f"error: {fcidump}: {message}\n"
+        assert listed.stderr == f"error: {manifest}: {message}\n"
+        assert not (tmp_path / "qcc-out").exists()
+
     @pytest.mark.parametrize(
         "command", [["ham"], ["fci"], ["uccsd", "--optimize"]], ids=lambda c: c[0]
     )
@@ -435,7 +453,8 @@ class TestFci:
         # the thread count is read when numpy loads, so each count gets a child
         # process, in its own directory, that runs fci on every shipped FCIDUMP,
         # sector and full space, uccsd --optimize on all but chain6 (seconds a
-        # run) and pes with shots on the chain4 manifest
+        # run), pes with shots on the chain4 manifest and extrapolate, whose
+        # fit is a LAPACK least-squares solve, with a curve on each pes trace
         script = (
             "import sys\n"
             "from pathlib import Path\n"
@@ -449,6 +468,10 @@ class TestFci:
             "            args = ['uccsd', path, '--mapping', mapping, '--optimize', '--output', output]\n"
             "            main(args, standalone_mode=False)\n"
             "main(['pes', sys.argv[1], '--shots', '4000', '--output-dir', 'pes'], standalone_mode=False)\n"
+            "for trace in sorted(Path('pes').glob('*.trace.json')):\n"
+            "    curve = trace.name.replace('.trace.json', '.curve.csv')\n"
+            "    args = ['extrapolate', str(trace), '--discard', '0', '--window', '3', '--curve', curve]\n"
+            "    main(args, standalone_mode=False)\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         paths = sorted(str(p) for p in FIXTURES.glob("*.fcidump"))
@@ -466,7 +489,9 @@ class TestFci:
             outputs.append(child.stdout)
             written.append(tree(cwd))
         assert outputs[0].count(b'"schema": "fci-result/1"') == 4 * len(paths)
-        assert len(written[0]) == 2 * (len(paths) - 1) + 1 + 7  # uccsd files, pes/, its 7 files
+        assert outputs[0].count(b'"schema": "extrapolation/1"') == 3
+        # uccsd files, pes/ and its 7 files, a curve per trace
+        assert len(written[0]) == 2 * (len(paths) - 1) + 1 + 7 + 3
         assert outputs[0] == outputs[1]
         assert written[0] == written[1]
 
@@ -770,7 +795,11 @@ class TestQcc:
         )
         assert runner.invoke(main, ["qcc", str(removed_knob)]).exit_code == 4
 
+        # the two path fields are JSON strings like every other string field
+        path_fields = [{"geometries": [{**entry, "fcidump": value}]} for value in (5, None, ["a"])]
+        path_fields.append({"output_dir": 5})
         mistyped = [
+            *path_fields,
             {"shots": "100"},
             {"shots": True},
             {"shots": -5},
@@ -816,6 +845,7 @@ class TestQcc:
             before = tree(tmp_path)
             result = runner.invoke(main, ["pes", str(path)])
             assert result.exit_code == 4, (extra, result.output)
+            assert extra not in path_fields or "is not a JSON string" in result.output
             assert tree(tmp_path) == before
         # JSON has no NaN or Infinity, so a manifest holding either token is
         # unreadable (exit 2) before its values are checked
@@ -938,6 +968,47 @@ class TestPes:
         assert shots["shots_per_group"] == 64
         assert not (out_dir / "broken.shots.json").exists()
         assert not (out_dir / "broken.trace.json").exists()
+
+    def test_rerun_leaves_no_stale_shot_estimate(self, runner, fixtures_dir, tmp_path):
+        manifest, out_dir = str(fixtures_dir / "dimer.manifest.json"), tmp_path / "out"
+        run_checked(runner, ["pes", manifest, "--output-dir", str(out_dir), "--shots", "64"])
+        assert len(list(out_dir.glob("*.shots.json"))) == 3
+        for command in ("pes", "qcc"):
+            run_checked(runner, [command, manifest, "--output-dir", str(out_dir)])
+            assert not list(out_dir.glob("*.shots.json"))
+            assert len(list(out_dir.glob("*.trace.json"))) == 3
+
+    def test_failed_rerun_leaves_no_stale_files(self, runner, fixtures_dir, tmp_path):
+        fcidump = tmp_path / "x.fcidump"
+        shutil.copy(fixtures_dir / "dimer_d1.00.fcidump", fcidump)
+        manifest = tmp_path / "m.manifest.json"
+        manifest.write_text(json.dumps({
+            "schema": "qcc-manifest/1",
+            "geometries": [{"label": "x", "fcidump": "x.fcidump"},
+                           {"label": "y", "fcidump": str(fixtures_dir / "dimer_d1.00.fcidump")}],
+        }))
+        out_dir = tmp_path / "out"
+        args = ["pes", str(manifest), "--output-dir", str(out_dir), "--shots", "64"]
+        run_checked(runner, args)
+        assert (out_dir / "x.trace.json").exists() and (out_dir / "x.shots.json").exists()
+        fcidump.write_text("&FCI NORB=2 &END\n")
+        run_checked(runner, args)
+        rows = {r["geometry"]: r for r in csv.DictReader((out_dir / "pes.csv").open())}
+        assert rows["x"]["status"].startswith("error:")
+        assert rows["y"]["status"] == "ok"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["pes.csv", "y.shots.json", "y.trace.json"]
+
+    def test_unremovable_earlier_output_exits_config(self, runner, fixtures_dir, tmp_path):
+        out_dir = tmp_path / "out"
+        (out_dir / "1.00.shots.json" / "kept").mkdir(parents=True)
+        before = tree(tmp_path)
+        result = runner.invoke(
+            main, ["pes", str(fixtures_dir / "dimer.manifest.json"), "--output-dir", str(out_dir)]
+        )
+        assert result.exit_code == 4, result.output
+        assert f"cannot remove {out_dir / '1.00.shots.json'}" in result.stderr
+        # the geometry before it ran and wrote its trace; no summary is written
+        assert set(tree(tmp_path)) - set(before) == {Path("out/0.80.trace.json")}
 
     def test_seed_flag_sets_the_shot_seed(self, runner, fixtures_dir, tmp_path):
         manifest = tmp_path / "seeded.manifest.json"
@@ -1506,6 +1577,22 @@ class TestMeasure:
         circuit.write_text(json.dumps({"reference": reference, "generators": []}))
         result = runner.invoke(main, ["measure", str(ham_path), "--circuit", str(circuit)])
         assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("defect", ["foreign schema", "schema without iterations"])
+    def test_circuit_with_a_schema_is_read_as_a_trace(self, runner, fixtures_dir, tmp_path, defect):
+        ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
+        if defect == "foreign schema":
+            circuit = TestLooseJsonFields.TRACE | {"schema": "bogus/9"}
+        else:  # not read as the bare circuit {"reference": "1100"}
+            circuit = {"schema": "qcc-trace/1", "reference": "1100"}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(circuit))
+        before = tree(tmp_path)
+        output = ["--output", str(tmp_path / "new" / "m.json")]
+        result = runner.invoke(main, ["measure", str(ham_path), "--circuit", str(path), *output])
+        assert result.exit_code == 2, result.output
+        assert "malformed content" in result.stderr
+        assert tree(tmp_path) == before
 
     def test_circuit_width_mismatch_exits_config(self, runner, fixtures_dir, tmp_path):
         ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)

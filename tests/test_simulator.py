@@ -422,6 +422,9 @@ class TestSampling:
         for shots in (0, 2**63):
             with pytest.raises(ValueError, match="shots must be in"):
                 sample_energy(state, grouping, shots=shots, seed=1)
+        # in the words the CLI uses for a negative --seed or manifest seed
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            sample_energy(state, grouping, shots=10, seed=-1)
         with pytest.raises(ValueError):
             sample_energy(prepare_basis_state(3, 0), grouping, shots=10, seed=1)
 

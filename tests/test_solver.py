@@ -424,6 +424,12 @@ class TestQccRun:
         assert payload["schema"] == "qcc-trace/1"
         again = QccTrace.from_json_dict(json.loads(json.dumps(payload)))
         assert again == trace
+        # the reader is the one check of the schema, for every command that reads a trace
+        for schema in (None, "bogus/9", ["qcc-trace/1"]):
+            with pytest.raises(ValueError, match="expected schema qcc-trace/1"):
+                QccTrace.from_json_dict(payload | {"schema": schema})
+        with pytest.raises(ValueError, match="expected schema qcc-trace/1, got None"):
+            QccTrace.from_json_dict({k: v for k, v in payload.items() if k != "schema"})
 
     def test_energies_and_generators_views(self, dimer_problem):
         _, h, ref_label = dimer_problem
