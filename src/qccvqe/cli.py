@@ -438,14 +438,14 @@ def _load_manifest(
         config = QccConfig.from_mapping(cfg_data)
         shots = _manifest_int(data, "shots")
         simulator._check_sampling(shots, seed, qcc_seed)
-        out_dir = output_override or path.parent / _json(str, data.get("output_dir", "qcc-out"))
+        out_dir = path.parent / _json(str, data.get("output_dir", "qcc-out"))
         return Manifest(
             entries=tuple(sorted(entries, key=lambda e: e.label)),
             n_active_electrons=_manifest_int(data, "active_electrons", minimum=0),
             n_active_orbitals=n_active_orbitals,
             window=tuple(window) if window is not None else None,
             mapping=mapping,
-            output_dir=out_dir,
+            output_dir=output_override or out_dir,
             config=config,
             shots=shots,
             seed=next(s for s in (seed, qcc_seed, 7) if s is not None),

@@ -847,6 +847,11 @@ class TestQcc:
             assert result.exit_code == 4, (extra, result.output)
             assert extra not in path_fields or "is not a JSON string" in result.output
             assert tree(tmp_path) == before
+        # a field is checked even when a flag overrides it
+        path.write_text(json.dumps({"schema": "qcc-manifest/1", "geometries": [entry], "output_dir": 5}))
+        result = runner.invoke(main, ["pes", str(path), "--output-dir", str(tmp_path / "o")])
+        assert result.exit_code == 4 and "is not a JSON string" in result.output, result.output
+        assert not (tmp_path / "o").exists()
         # JSON has no NaN or Infinity, so a manifest holding either token is
         # unreadable (exit 2) before its values are checked
         for extra in ({"qcc": {"energy_tolerance": math.nan}}, {"qcc": {"prune_threshold": math.inf}}):
