@@ -59,6 +59,6 @@ from .solver import (
     screen_generators,
     total_energy,
 )
-from .oracle import ORACLE_MAX_QUBITS, GroundState, exact_ground, to_dense
+from .oracle import ORACLE_MAX_QUBITS, GroundState, exact_ground, sector_basis, to_dense
 
 __version__ = "0.1.0"

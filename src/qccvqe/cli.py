@@ -64,7 +64,9 @@ def _parse(path: Path, build, data: dict):
     """build(data), a missing key or an unusable value exiting as a parse error."""
     try:
         return build(data)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
+        _die(EXIT_PARSE, f"{path}: malformed content: missing key {exc}")
+    except (TypeError, ValueError, OverflowError) as exc:
         _die(EXIT_PARSE, f"{path}: malformed content: {exc!r}")
 
 
@@ -214,12 +216,9 @@ def _build_problem_or_die(
 
 
 def _ground_energy(geom: GeometryProblem) -> oracle.GroundState:
-    decoder = chem.occupation_decoder(geom.mapping, geom.hamiltonian.n_qubits)
-    return oracle.exact_ground(
-        geom.hamiltonian,
-        n_electrons=geom.problem.n_active_electrons,
-        occupation_of=decoder,
-    )
+    h = geom.hamiltonian
+    basis = oracle.sector_basis(geom.mapping, h.n_qubits, geom.problem.n_active_electrons)
+    return oracle.exact_ground(h, basis)
 
 
 def _hamiltonian_payload(geom: GeometryProblem) -> dict:
@@ -390,11 +389,8 @@ class Manifest:
     seed: int
 
 
-def _manifest_int(data: Mapping, key: str, minimum: int | None = None) -> int | None:
-    value = None if data.get(key) is None else _json(int, data[key])
-    if value is not None and minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return value
+def _manifest_int(data: Mapping, key: str) -> int | None:
+    return None if data.get(key) is None else _json(int, data[key])
 
 
 def _load_manifest(
@@ -426,8 +422,9 @@ def _load_manifest(
         window = data.get("orbital_window")
         if window is not None:
             window = [_json(int, i) for i in _json(list, window)]
+        n_active_electrons = _manifest_int(data, "active_electrons")
         n_active_orbitals = _manifest_int(data, "active_orbitals")
-        chem._check_active(window, n_active_orbitals)
+        chem._check_active(window, n_active_orbitals, n_active_electrons)
         seed = _manifest_int(data, "seed")
         mapping = chem.normalize_mapping(data.get("mapping", "jordan_wigner"))
         cfg_data = dict(_json(dict, data.get("qcc", {})))
@@ -441,7 +438,7 @@ def _load_manifest(
         out_dir = path.parent / _json(str, data.get("output_dir", "qcc-out"))
         return Manifest(
             entries=tuple(sorted(entries, key=lambda e: e.label)),
-            n_active_electrons=_manifest_int(data, "active_electrons", minimum=0),
+            n_active_electrons=n_active_electrons,
             n_active_orbitals=n_active_orbitals,
             window=tuple(window) if window is not None else None,
             mapping=mapping,

@@ -1,12 +1,12 @@
 """Exact ground-state reference via a matrix-free Lanczos solve.
 
 Provides the dense-matrix rendering of Pauli-sum Hamiltonians and the exact
-lowest eigenvalue, optionally restricted to a fixed-electron-number sector.
+lowest eigenvalue, on all 2^n basis states or on those its caller lists.
 Every numerical claim elsewhere in the package is checked against this
 module, so it stays deliberately simple: the simulator's entries kernel,
 which also gives every solver and statevector energy, lists the matrix
 entries of the Pauli sum on a set of basis states (the C(n, N_e) states of
-the sector, or all 2^n), and a Lanczos solve (Lanczos, J. Res. NBS 45, 255
+a sector, or all 2^n), and a Lanczos solve (Lanczos, J. Res. NBS 45, 255
 (1950)) applies them with `np.bincount`, never forming the matrix.
 
 Every sum, in the kernel and here, is the simulator's ufunc reduction, and
@@ -14,7 +14,7 @@ the tridiagonal problem is solved in Python floats, so no LAPACK call is
 made and no BLAS thread count moves the bits. The solve stops when the Ritz
 residual ||Hx - theta x|| is below 1e-10 of the power of two above the largest
 |coefficient|: an eigenvalue lies within that residual of the energy
-(Parlett, The Symmetric Eigenvalue Problem, ch. 4). The whole sector is one
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4). The whole basis is one
 solve, whatever its connected blocks; a pseudo-random start vector has
 weight on all of them. Entries are real when every term has an even Y
 count, as in every mapped FCIDUMP.
@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .chem import occupation_decoder
 from .pauli import PauliString, QubitHamiltonian
 from .simulator import _entries, _indices, _norm, _sum
 
@@ -36,6 +37,7 @@ __all__ = [
     "GroundState",
     "to_dense",
     "exact_ground",
+    "sector_basis",
 ]
 
 # Inputs above 14 qubits are refused, by the dense rendering and the solve alike.
@@ -83,13 +85,12 @@ def to_dense(h: QubitHamiltonian | PauliString) -> np.ndarray:
     return mat
 
 
-def _sector_indices(
-    n_qubits: int, n_electrons: int, occupation_of: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Basis indices whose decoded occupation has the requested electron count."""
-    occ = occupation_of(_indices(n_qubits))
-    counts = np.bitwise_count(occ).astype(np.int64)
-    return np.flatnonzero(counts == n_electrons)
+def sector_basis(mapping: str, n_qubits: int, n_electrons: int) -> np.ndarray:
+    """Increasing basis indices whose occupation, decoded under `mapping`, holds
+    `n_electrons` electrons: the particle sector for `exact_ground`."""
+    _check_size(n_qubits)
+    occ = occupation_decoder(mapping, n_qubits)(_indices(n_qubits))
+    return np.flatnonzero(np.bitwise_count(occ) == n_electrons)
 
 
 def _start(basis: np.ndarray, run: int) -> np.ndarray:
@@ -209,19 +210,13 @@ def _lanczos(
     )
 
 
-def exact_ground(
-    h: QubitHamiltonian,
-    n_electrons: int | None = None,
-    occupation_of: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> GroundState:
-    """Lowest eigenvalue and eigenvector of the Pauli sum.
+def exact_ground(h: QubitHamiltonian, basis: np.ndarray | None = None) -> GroundState:
+    """Lowest eigenvalue and eigenvector of the Pauli sum on `basis`.
 
-    With `n_electrons` given, the solve is on the particle sector only:
-    basis states are kept iff `occupation_of` (the inverse of the
-    fermion-to-qubit encoding, vectorized over index arrays) decodes them
-    to the requested electron count. The returned vector is always at the
-    full 2^n dimension. Without `n_electrons` the whole 2^n space is solved,
-    whatever `occupation_of` is.
+    `basis` lists the basis indices spanned, such as a particle sector from
+    `sector_basis`, and None is all 2^n. Anything but a non-empty 1-D array of
+    strictly increasing integers in [0, 2^n) raises ValueError. The returned
+    vector is always at the full 2^n dimension, zero off `basis`.
 
     The coefficients are scaled by the power of two above their largest
     magnitude before the entries sum them, as LAPACK's `eigh` scales its
@@ -232,17 +227,10 @@ def exact_ground(
     """
     _check_size(h.n_qubits)
     dim = 1 << h.n_qubits
-
-    if n_electrons is None:
-        basis = np.arange(dim)
-    else:
-        if occupation_of is None:
-            raise ValueError("particle-sector restriction needs an occupation decoder")
-        basis = _sector_indices(h.n_qubits, n_electrons, occupation_of)
-        if basis.size == 0:
-            raise ValueError(
-                f"empty particle sector: {n_electrons} electrons on {h.n_qubits} qubits"
-            )
+    basis = np.arange(dim) if basis is None else np.asarray(basis)
+    shaped = basis.ndim == 1 and basis.size and np.issubdtype(basis.dtype, np.integer)
+    if not (shaped and basis[0] >= 0 and basis[-1] < dim and (basis[1:] > basis[:-1]).all()):
+        raise ValueError("basis must be non-empty, 1-D, integer, strictly increasing, in [0, 2^n)")
 
     # 2**exponent is above the largest |coefficient|, so no entry sum can overflow
     exponent = math.frexp(float(np.abs(h.coeff).max(initial=0.0)))[1]

@@ -14,9 +14,9 @@ from click.testing import CliRunner
 
 import reference
 from conftest import build_problem
-from qccvqe.chem import occupation_decoder, uccsd_excitations
+from qccvqe.chem import uccsd_excitations
 from qccvqe.cli import main
-from qccvqe.oracle import exact_ground, to_dense
+from qccvqe.oracle import exact_ground, sector_basis, to_dense
 from qccvqe.pauli import PauliString, QubitHamiltonian, dress_sequence
 from qccvqe.simulator import (
     apply_rotation_sequence,
@@ -46,11 +46,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def sector_ground(h: QubitHamiltonian, n_electrons: int, mapping: str = "jordan_wigner"):
-    return exact_ground(
-        h,
-        n_electrons=n_electrons,
-        occupation_of=occupation_decoder(mapping, h.n_qubits),
-    )
+    return exact_ground(h, sector_basis(mapping, h.n_qubits, n_electrons))
 
 
 def analytic_gradient(h: QubitHamiltonian, state, generator: PauliString) -> float:

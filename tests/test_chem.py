@@ -28,6 +28,7 @@ from qccvqe import (
     occupation_decoder,
     parse_fcidump,
     prepare_basis_state,
+    sector_basis,
     uccsd_excitations,
     uccsd_generator_paulis,
 )
@@ -273,11 +274,7 @@ class TestActiveSpace:
         cas = cas_reduce(ints, [1, 2, 3, 4], 4)
         assert cas.e_inactive != 0.0
         h_cas = map_operator(build_active_hamiltonian(cas), "jordan_wigner")
-        e_cas = exact_ground(
-            h_cas,
-            n_electrons=4,
-            occupation_of=occupation_decoder("jw", h_cas.n_qubits),
-        ).energy
+        e_cas = exact_ground(h_cas, sector_basis("jw", h_cas.n_qubits, 4)).energy
 
         mat = reference.fermion_matrix(12, reference.integral_terms(ints))
         frozen_bits = 0b11  # both spins of spatial orbital 0
@@ -401,12 +398,8 @@ class TestMappings:
     def test_sector_grounds_agree_across_mappings(self, dimer_problem, load_problem):
         _, h_jw, _ = dimer_problem
         _, h_parity, _ = load_problem("dimer_d1.00.fcidump", 2, 2, mapping="parity")
-        e_jw = exact_ground(
-            h_jw, n_electrons=2, occupation_of=occupation_decoder("jw", 4)
-        ).energy
-        e_parity = exact_ground(
-            h_parity, n_electrons=2, occupation_of=occupation_decoder("parity", 4)
-        ).energy
+        e_jw = exact_ground(h_jw, sector_basis("jw", 4, 2)).energy
+        e_parity = exact_ground(h_parity, sector_basis("parity", 4, 2)).energy
         assert e_jw == pytest.approx(e_parity, abs=1e-10)
 
 

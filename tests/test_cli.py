@@ -1599,6 +1599,25 @@ class TestMeasure:
         assert "malformed content" in result.stderr
         assert tree(tmp_path) == before
 
+    def test_missing_key_is_named(self, runner, fixtures_dir, tmp_path):
+        ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
+        ham = json.loads(ham_path.read_text())
+        del ham["terms"]
+        no_terms = tmp_path / "no_terms.json"
+        no_terms.write_text(json.dumps(ham))
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"schema": "qcc-trace/1", "reference": "1100"}))
+        circuit = tmp_path / "c.json"
+        circuit.write_text(json.dumps({"reference": "1100", "generators": [{"pauli": "XXYY"}]}))
+        for args, key in [
+            ([str(ham_path), "--circuit", str(trace)], "n_qubits"),
+            ([str(no_terms)], "terms"),
+            ([str(ham_path), "--circuit", str(circuit)], "tau"),
+        ]:
+            result = runner.invoke(main, ["measure", *args])
+            assert result.exit_code == 2, result.output
+            assert f"malformed content: missing key '{key}'" in result.stderr
+
     def test_circuit_width_mismatch_exits_config(self, runner, fixtures_dir, tmp_path):
         ham_path = self.write_hamiltonian(runner, fixtures_dir, tmp_path)
         circuit = tmp_path / "c.json"

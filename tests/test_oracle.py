@@ -14,6 +14,7 @@ from qccvqe import (
     exact_ground,
     occupation_decoder,
     oracle,
+    sector_basis,
     simulator,
     to_dense,
 )
@@ -77,29 +78,28 @@ class TestExactGround:
     def test_sector_restriction_changes_answer(self):
         # sum of Z has ground -3 globally but +1 in the one-electron sector
         h = QubitHamiltonian.from_labels({"ZII": 1.0, "IZI": 1.0, "IIZ": 1.0})
-        decoder = occupation_decoder("jordan_wigner", 3)
         assert exact_ground(h).energy == pytest.approx(-3.0, abs=1e-12)
-        sector = exact_ground(h, n_electrons=1, occupation_of=decoder)
+        sector = exact_ground(h, sector_basis("jordan_wigner", 3, 1))
         assert sector.energy == pytest.approx(1.0, abs=1e-12)
         occupations = np.flatnonzero(np.abs(sector.vector) > 1e-12)
         assert all(int(i).bit_count() == 1 for i in occupations)
 
     def test_single_state_sector(self):
         h = QubitHamiltonian.from_labels({"ZZ": 1.0, "XX": 0.5})
-        decoder = occupation_decoder("jordan_wigner", 2)
-        ground = exact_ground(h, n_electrons=2, occupation_of=decoder)
+        ground = exact_ground(h, sector_basis("jordan_wigner", 2, 2))
         # only |11> has two electrons; its energy is the diagonal entry
         assert ground.energy == pytest.approx(1.0, abs=1e-12)
         assert np.argmax(np.abs(ground.vector)) == 3
 
-    def test_sector_needs_decoder_and_nonempty(self):
+    def test_refuses_empty_sector_and_malformed_basis(self):
         h = QubitHamiltonian.from_labels({"ZZ": 1.0})
-        with pytest.raises(ValueError):
-            exact_ground(h, n_electrons=1)
-        with pytest.raises(ValueError):
-            exact_ground(
-                h, n_electrons=5, occupation_of=occupation_decoder("jw", 2)
-            )
+        empty_sector = sector_basis("jw", 2, 5)
+        assert empty_sector.size == 0
+        # a decreasing uint64 pair, whose difference wraps to a positive one
+        wrapping = np.array([2, 1], dtype=np.uint64)
+        for basis in [empty_sector, [], [2, 1], [1, 1], [-1, 0], [3, 4], [[0, 1]], [0.0, 1.0], wrapping]:
+            with pytest.raises(ValueError, match="basis must be"):
+                exact_ground(h, basis)
 
     @staticmethod
     def product_hamiltonian(n):
@@ -133,6 +133,11 @@ class TestExactGround:
         h = QubitHamiltonian(15, {PauliString.identity(15): 1.0})
         with pytest.raises(ValueError):
             exact_ground(h)
+        # a sector past the ceiling is refused before any of its states is listed
+        simulator._indices.cache_clear()
+        with pytest.raises(ValueError, match="oracle ceiling is 14 qubits, got 15"):
+            sector_basis("jw", 15, 2)
+        assert simulator._indices.cache_info().currsize == 0
 
 
 class TestLanczos:
@@ -141,8 +146,8 @@ class TestLanczos:
         # 2**1000 times larger, whose squares float64 cannot hold, scales exactly
         _, h, _ = build_problem("chain4_d1.00.fcidump", 4, 4, "parity")
         big = QubitHamiltonian(h.n_qubits, [(p, math.ldexp(c, 1000)) for p, c in h.items()])
-        decoder = occupation_decoder("parity", h.n_qubits)
-        small, large = (exact_ground(x, 4, decoder) for x in (h, big))
+        basis = sector_basis("parity", h.n_qubits, 4)
+        small, large = (exact_ground(x, basis) for x in (h, big))
         assert math.isfinite(large.energy)
         assert large.energy == math.ldexp(small.energy, 1000)
         assert large.residual == math.ldexp(small.residual, 1000)
@@ -173,7 +178,8 @@ class TestLanczos:
 
 
 class TestSectorBasis:
-    """The matrix built on the sector basis is the sector block of the full one."""
+    """The solve on a basis, a sector or any other, is that of the full
+    matrix's block on it."""
 
     @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
     def test_matches_sliced_reference(self, mapping):
@@ -185,12 +191,14 @@ class TestSectorBasis:
 
     @staticmethod
     def check_random_sums(mapping, even_y):
-        """Random sums on 2-6 qubits against slices of the Kronecker matrix.
+        """Random sums on 2-6 qubits against slices of the Kronecker matrix, on
+        the full space, every sector and random subsets of basis states.
 
         Sums with an even Y count in every string take the real-matrix
         route; unrestricted random sums take the complex one.
         """
         rng = np.random.default_rng(RNG_SEED + 2)
+        subsets = np.random.default_rng(RNG_SEED + 4)
         for n in range(2, 7):
             h = reference.random_hamiltonian(rng, n, 3 * n, even_y=even_y)
             odd_y = any(p.to_label().count("Y") % 2 for p, _ in h.items())
@@ -200,13 +208,18 @@ class TestSectorBasis:
             decoder = occupation_decoder(mapping, n)
             counts = np.bitwise_count(decoder(np.arange(1 << n, dtype=np.uint64)))
             # None is the full space, where the block is the whole matrix.
-            for n_electrons in [None, *range(n + 1)]:
-                if n_electrons is None:
-                    keep = np.arange(1 << n)
-                else:
-                    keep = np.flatnonzero(counts == n_electrons)
+            bases = [(None, np.arange(1 << n))]
+            bases += [
+                (sector_basis(mapping, n, n_e), np.flatnonzero(counts == n_e))
+                for n_e in range(n + 1)
+            ]
+            # increasing subsets that are no sector, as uint64 indices
+            for size in subsets.integers(1, 1 << n, size=3):
+                keep = np.sort(subsets.choice(1 << n, size, replace=False))
+                bases.append((keep.astype(np.uint64), keep))
+            for basis, keep in bases:
                 block = full[np.ix_(keep, keep)]
-                ground = exact_ground(h, n_electrons=n_electrons, occupation_of=decoder)
+                ground = exact_ground(h, basis)
                 expected = float(np.linalg.eigvalsh(block)[0])
                 assert ground.energy == pytest.approx(expected, abs=1e-10)
                 assert np.all(np.delete(ground.vector, keep) == 0)
@@ -221,8 +234,7 @@ class TestSectorBasis:
         h = QubitHamiltonian.from_labels(
             {"ZIII": 1.0, "IZII": 0.5, "IIZI": 0.5, "IIIZ": -1.0}
         )
-        decoder = occupation_decoder("jordan_wigner", 4)
-        sector = exact_ground(h, n_electrons=2, occupation_of=decoder)
+        sector = exact_ground(h, sector_basis("jordan_wigner", 4, 2))
         assert sector.energy == pytest.approx(-2.0, abs=1e-12)
         assert sector.degenerate
         full = exact_ground(h)
@@ -235,12 +247,11 @@ HALF_FILLING = {"dimer": 2, "chain4": 4, "chain6": 6}
 
 
 def sector_entries(name, mapping):
-    """FCIDUMP fixture -> (Hamiltonian, electrons, decoder, sector basis, entries)."""
+    """FCIDUMP fixture -> (Hamiltonian, electrons, sector basis, entries)."""
     n = HALF_FILLING[name.split("_")[0]]
     _, h, _ = build_problem(name, n, n, mapping)
-    decoder = occupation_decoder(mapping, h.n_qubits)
-    basis = oracle._sector_indices(h.n_qubits, n, decoder)
-    return h, n, decoder, basis, simulator._entries(h, basis)
+    basis = sector_basis(mapping, h.n_qubits, n)
+    return h, n, basis, simulator._entries(h, basis)
 
 
 class TestBlocks:
@@ -255,8 +266,7 @@ class TestBlocks:
             hops[pair] = 0.5
             hops[pair.replace("X", "Y")] = 0.5
         h = QubitHamiltonian.from_labels(hops)
-        decoder = occupation_decoder("jordan_wigner", 3)
-        inside = exact_ground(h, n_electrons=1, occupation_of=decoder)
+        inside = exact_ground(h, sector_basis("jordan_wigner", 3, 1))
         assert inside.energy == pytest.approx(-1.0, abs=1e-12)
         assert inside.degenerate
         # XX pairs |00> with |11> and |01> with |10>: two blocks, each -1 and +1
@@ -270,14 +280,12 @@ class TestBlocks:
 
     @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
     def test_chain6_sector_splits(self, mapping):
-        h, n, decoder, basis, (rows, cols, vals) = sector_entries(
-            "chain6_d1.00.fcidump", mapping
-        )
+        h, n, basis, (rows, cols, vals) = sector_entries("chain6_d1.00.fcidump", mapping)
         assert basis.size == 924
         mat = np.zeros((basis.size,) * 2)
         mat[rows, cols] = vals
         whole = np.linalg.eigvalsh(mat)
-        ground = exact_ground(h, n_electrons=n, occupation_of=decoder)
+        ground = exact_ground(h, basis)
         assert ground.energy == pytest.approx(whole[0], abs=1e-12)
         assert ground.degenerate == bool(whole[1] - whole[0] < 1e-9)
         inside = ground.vector[basis]
@@ -289,10 +297,10 @@ class TestBlocks:
     def test_chain6_full_space_is_lowest_sector(self, mapping):
         # The number-conserving sum never links sectors, so the 4096-state
         # ground is the lowest of the 13 sector grounds.
-        h, _, decoder, _, _ = sector_entries("chain6_d1.00.fcidump", mapping)
+        h, _, _, _ = sector_entries("chain6_d1.00.fcidump", mapping)
         full = exact_ground(h)
         sectors = [
-            exact_ground(h, n_electrons=n_e, occupation_of=decoder).energy
+            exact_ground(h, sector_basis(mapping, h.n_qubits, n_e)).energy
             for n_e in range(h.n_qubits + 1)
         ]
         assert abs(full.energy - min(sectors)) < 1e-10
@@ -300,9 +308,9 @@ class TestBlocks:
     @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.fcidump")))
     def test_shipped_fixtures_match_single_block(self, name, mapping):
-        h, n, decoder, basis, (rows, cols, vals) = sector_entries(name, mapping)
+        h, n, basis, (rows, cols, vals) = sector_entries(name, mapping)
         mat = np.zeros((basis.size,) * 2)
         mat[rows, cols] = vals
         expected = np.linalg.eigvalsh(mat)[0]
-        ground = exact_ground(h, n_electrons=n, occupation_of=decoder)
+        ground = exact_ground(h, basis)
         assert abs(ground.energy - expected) < 1e-12

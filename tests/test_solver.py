@@ -26,12 +26,12 @@ from qccvqe import (
     extrapolate,
     flip_representative,
     hf_bitstring,
-    occupation_decoder,
     optimize_amplitudes,
     optimize_uccsd,
     prepare_basis_state,
     qcc_run,
     screen_generators,
+    sector_basis,
     total_energy,
     uccsd_excitations,
     uccsd_generator_paulis,
@@ -368,9 +368,7 @@ class TestQccRun:
         assert trace.converged
         assert len(trace.iterations) == 1
         assert trace.parameters_used == 1
-        gs = exact_ground(
-            h, n_electrons=2, occupation_of=occupation_decoder("jw", h.n_qubits)
-        )
+        gs = exact_ground(h, sector_basis("jw", h.n_qubits, 2))
         assert trace.final_energy == pytest.approx(gs.energy, abs=1e-9)
         assert total_energy(trace) == pytest.approx(
             gs.energy + prob.e_inactive + prob.e_nuclear, abs=1e-12
@@ -615,9 +613,7 @@ class TestUccsdOptimization:
     def test_chain4_uccsd_near_sector_fci(self, load_problem):
         h, ref, generators = uccsd_setup(load_problem, "chain4_d1.00.fcidump", 4, "jw")
         energy, amplitudes = optimize_uccsd(h, ref, generators)
-        gs = exact_ground(
-            h, n_electrons=4, occupation_of=occupation_decoder("jw", h.n_qubits)
-        )
+        gs = exact_ground(h, sector_basis("jw", h.n_qubits, 4))
         assert gs.energy <= energy <= gs.energy + 1e-4
         assert energy == pytest.approx(uccsd_energy(h, ref, generators, amplitudes), abs=1e-12)
         assert all(-math.pi <= t <= math.pi for t in amplitudes)
@@ -627,9 +623,7 @@ class TestUccsdOptimization:
         exc = uccsd_excitations(prob.n_active_electrons, prob.n_active_orbitals)
         generators = uccsd_generator_paulis(exc, prob.n_spin_orbitals, "jw")
         energy, amplitudes = optimize_uccsd(h, ref_label, generators)
-        gs = exact_ground(
-            h, n_electrons=2, occupation_of=occupation_decoder("jw", h.n_qubits)
-        )
+        gs = exact_ground(h, sector_basis("jw", h.n_qubits, 2))
         assert energy == pytest.approx(gs.energy, abs=1e-6)
         assert len(amplitudes) == 3
 
@@ -663,9 +657,7 @@ class TestAnsatzComparison:
         # 117 amplitudes end within 0.1 mHa of the sector ground state, and
         # one-generator QCC passes 1.6 mHa in at most 40 iterations.
         h, ref, generators = uccsd_setup(load_problem, "chain6_d1.00.fcidump", 6, mapping)
-        e_fci = exact_ground(
-            h, n_electrons=6, occupation_of=occupation_decoder(mapping, h.n_qubits)
-        ).energy
+        e_fci = exact_ground(h, sector_basis(mapping, h.n_qubits, 6)).energy
         e_uccsd, amplitudes = optimize_uccsd(h, ref, generators)
         assert len(amplitudes) == 117
         assert e_fci <= e_uccsd <= e_fci + 1e-4
