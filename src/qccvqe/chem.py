@@ -86,24 +86,19 @@ _NAMELIST_KEY = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=,]*?)(?:,|$)")
 
 
 def _parse_header(lines: Iterator[tuple[int, str]]) -> dict[str, str]:
-    """Read the &FCI namelist from `lines`, leaving them at the first data line."""
+    """Read the &FCI namelist, in any case, from `lines`, leaving them at the first data line."""
     lineno, first = next(lines, (None, ""))
     if lineno is None:
         raise FcidumpError("empty file")
     if not first.lstrip().upper().startswith("&FCI"):
         raise FcidumpError("expected '&FCI' namelist header", lineno)
     header_text = first.lstrip()[4:]
-    while not header_text.strip().endswith(("&END", "/")):
+    while not (end := re.search(r"(&END|/)\s*$", header_text, re.IGNORECASE)):
         lineno, line = next(lines, (None, ""))
         if lineno is None:
             raise FcidumpError("namelist header never terminated by '&END' or '/'")
         header_text += " " + line
-    stripped = header_text.strip()
-    header_text = stripped[: -len("&END")] if stripped.endswith("&END") else stripped[:-1]
-    return {
-        key.upper(): value.strip()
-        for key, value in _NAMELIST_KEY.findall(header_text)
-    }
+    return {k.upper(): v.strip() for k, v in _NAMELIST_KEY.findall(header_text[: end.start()])}
 
 
 def parse_fcidump(source: str | TextIO) -> ElectronIntegrals:

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__, chem, oracle, simulator, solver
-from .pauli import PauliString, QubitHamiltonian, _json
+from .pauli import PauliString, QubitHamiltonian, _json, _json_objects
 from .solver import QccConfig, QccTrace, _json_rotations
 
 EXIT_PARSE = 2
@@ -403,7 +403,7 @@ def _load_manifest(
         schema = data.get("schema", "qcc-manifest/1")
         if schema != "qcc-manifest/1":
             raise ConfigError(f"unsupported manifest schema {schema!r}")
-        raw_entries = _json(list, data.get("geometries", []))
+        raw_entries = _json_objects(data.get("geometries", []))
         if not raw_entries:
             raise ConfigError("manifest lists no geometries")
         entries = []
@@ -447,7 +447,9 @@ def _load_manifest(
             shots=shots,
             seed=next(s for s in (seed, qcc_seed, 7) if s is not None),
         )
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except KeyError as exc:
+        _die(EXIT_CONFIG, f"{path}: missing key {exc}")
+    except (TypeError, ValueError, ConfigError) as exc:
         _die(EXIT_CONFIG, f"{path}: {exc}")
 
 
@@ -474,7 +476,7 @@ def _run_geometry(
             manifest.mapping,
         )
         # the oracle's width check first, so a geometry past it is not solved
-        ground = _ground_energy(geom)
+        e_fci_active = _ground_energy(geom).energy
         trace = solver.qcc_run(
             geom.hamiltonian,
             geom.reference,
@@ -484,13 +486,13 @@ def _run_geometry(
         )
         text = _json_text(
             trace.to_json_dict()
-            | {"label": entry.label, "mapping": geom.mapping, "e_fci_active": ground.energy}
+            | {"label": entry.label, "mapping": geom.mapping, "e_fci_active": e_fci_active}
         )
     except (OSError, ValueError, ConfigError) as exc:
         click.echo(f"geometry {entry.label}: {exc}", err=True)
         return _error_row(entry.label, str(exc))
     e_qcc = solver.total_energy(trace)
-    e_fci = ground.energy + geom.problem.e_inactive + geom.problem.e_nuclear
+    e_fci = e_fci_active + geom.problem.e_inactive + geom.problem.e_nuclear
     _write_text(manifest.output_dir / f"{entry.label}.trace.json", text)
     row = {
         "geometry": entry.label,
@@ -710,13 +712,10 @@ def _measure_state(
             "estimate": sampled,
             "exact": group_exact,
             "difference": difference,
-            "shots": group_shots,
+            "shots": estimate.shots,
         }
-        for (gid, sampled, group_shots), group_exact, (_, difference), group in zip(
-            estimate.per_group,
-            estimate.group_exact,
-            simulator.per_group_error(estimate),
-            grouping.groups,
+        for (sampled, group_exact), (gid, difference), group in zip(
+            estimate.per_group, simulator.per_group_error(estimate), grouping.groups
         )
     ]
     return {

@@ -59,8 +59,8 @@ def _check_size(n_qubits: int) -> None:
 
 @dataclass(frozen=True, slots=True)
 class GroundState:
-    """Lowest eigenvalue with one representative eigenvector and its residual
-    ||H v - energy v||."""
+    """Lowest eigenvalue with one representative eigenvector, indexed like the
+    basis solved on, and its residual ||H v - energy v||."""
 
     energy: float
     vector: np.ndarray
@@ -215,8 +215,8 @@ def exact_ground(h: QubitHamiltonian, basis: np.ndarray | None = None) -> Ground
 
     `basis` lists the basis indices spanned, such as a particle sector from
     `sector_basis`, and None is all 2^n. Anything but a non-empty 1-D array of
-    strictly increasing integers in [0, 2^n) raises ValueError. The returned
-    vector is always at the full 2^n dimension, zero off `basis`.
+    strictly increasing integers in [0, 2^n) raises ValueError. The vector has
+    one amplitude per entry of `basis`, in its order; it is float64 if the entries are.
 
     The coefficients are scaled by the power of two above their largest
     magnitude before the entries sum them, as LAPACK's `eigh` scales its
@@ -249,11 +249,9 @@ def exact_ground(h: QubitHamiltonian, basis: np.ndarray | None = None) -> Ground
     if basis.size > 1:
         second = _lanczos(apply, _start(basis, 1), ground[None, :])[0]
         degenerate = second - theta < math.ldexp(_DEGENERACY_GAP, -exponent)
-    vector = np.zeros(dim, dtype=np.complex128)
-    vector[basis] = ground
     return GroundState(
         energy=_unscale(theta, exponent),
-        vector=vector,
+        vector=ground,
         degenerate=degenerate,
         residual=_unscale(residual, exponent),
     )

@@ -50,13 +50,21 @@ _JSON_KINDS = {bool: "boolean", int: "integer", float: "number",
 def _json(kind: type, value: object):
     """The one type check of a value read from outside JSON: `value` if it is
     of `kind`, a key of _JSON_KINDS, with an int asked for as a float returned
-    as one (OverflowError past float64). Anything else raises TypeError: a
-    bool is no number, 2.0 no integer, and a string or an object no list."""
+    as one. A number past float64 raises OverflowError, or ValueError if read
+    as inf. Anything else raises TypeError: a bool is no number, 2.0 no
+    integer, and a string or an object no list."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise TypeError(f"{value!r} is not a JSON {_JSON_KINDS[kind]}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite JSON number")
     return value
+
+
+def _json_objects(value: object) -> list[dict]:
+    """`value` as a JSON list whose every item is a JSON object, by _json's rule."""
+    return [_json(dict, item) for item in _json(list, value)]
 
 
 _LETTER_OF = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -244,7 +252,7 @@ class QubitHamiltonian:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QubitHamiltonian":
         terms = [(PauliString.from_label(t["pauli"]), _json(float, t["coeff"]))
-                 for t in _json(list, data["terms"])]
+                 for t in _json_objects(data["terms"])]
         return cls(_json(int, data["n_qubits"]), terms)
 
 

@@ -304,15 +304,14 @@ def group_qwc(h: QubitHamiltonian) -> QwcGrouping:
 class ShotEstimate:
     """Monte-Carlo energy estimate from finite measurement shots.
 
-    per_group holds (group index, estimate, shots); energy is the sum of
-    the per-group estimates plus the identity-term constant. group_exact
-    holds each group's exact expectation, in per_group order, read off the
-    same outcome distribution the group's shots were drawn from.
+    per_group holds one (estimate, exact) pair per group, in grouping order,
+    each from `shots` draws; the exact value is read off the outcome
+    distribution they were drawn from. energy is the sum of the estimates
+    plus the identity-term constant.
     """
 
     energy: float
-    per_group: tuple[tuple[int, float, int], ...]
-    group_exact: tuple[float, ...]
+    per_group: tuple[tuple[float, float], ...]
     seed: int
     shots: int
     constant: float
@@ -386,9 +385,8 @@ def sample_energy(
     rng = np.random.default_rng(seed)
     energy = grouping.constant
     variance_of_mean = 0.0
-    per_group: list[tuple[int, float, int]] = []
-    group_exact: list[float] = []
-    for gid, group in enumerate(grouping.groups):
+    per_group: list[tuple[float, float]] = []
+    for group in grouping.groups:
         amp = _rotate_to_group_basis(state, group)
         probs = np.abs(amp) ** 2
         probs = probs / probs.sum()
@@ -398,12 +396,10 @@ def sample_energy(
         second = float(_sum(counts * values**2)) / shots
         variance_of_mean += max(second - mean * mean, 0.0) / shots
         energy += mean
-        per_group.append((gid, mean, shots))
-        group_exact.append(float(_sum(probs * values)))
+        per_group.append((mean, float(_sum(probs * values))))
     return ShotEstimate(
         energy=energy,
         per_group=tuple(per_group),
-        group_exact=tuple(group_exact),
         seed=seed,
         shots=shots,
         constant=grouping.constant,
@@ -412,8 +408,5 @@ def sample_energy(
 
 
 def per_group_error(estimate: ShotEstimate) -> list[tuple[int, float]]:
-    """(group index, group_exact minus sampled estimate), one entry per group."""
-    return [
-        (gid, exact - sampled)
-        for (gid, sampled, _), exact in zip(estimate.per_group, estimate.group_exact)
-    ]
+    """(group index, exact value minus sampled estimate), one entry per group."""
+    return [(gid, exact - sampled) for gid, (sampled, exact) in enumerate(estimate.per_group)]

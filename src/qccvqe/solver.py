@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, QubitHamiltonian, _json, dress_sequence
+from .pauli import PauliString, QubitHamiltonian, _json, _json_objects, dress_sequence
 from .simulator import _entries, _pair_step, _pauli_phase_vector, _quadratic_form, basis_index
 
 # Unused here; perfbench/spans.py wraps them by name until ROADMAP item 1 step 1.
@@ -252,7 +252,7 @@ def _json_rotations(
     """(generator, angle) pairs of a {"pauli", "tau"} list, each generator
     n_qubits wide when n_qubits is given."""
     pairs = tuple((PauliString.from_label(g["pauli"]), _json(float, g["tau"]))
-                  for g in _json(list, items))
+                  for g in _json_objects(items))
     if n_qubits is not None and any(p.n_qubits != n_qubits for p, _ in pairs):
         raise ValueError(f"every generator must act on {n_qubits} qubits")
     return pairs
@@ -335,7 +335,7 @@ class QccTrace:
                 term_count=_json(int, it["term_count"]),
                 gradients=tuple(_json(float, g) for g in _json(list, it.get("gradients", []))),
             )
-            for it in _json(list, data["iterations"])
+            for it in _json_objects(data["iterations"])
         )
         return cls(
             n_qubits=n_qubits,

@@ -466,8 +466,7 @@ def sample_energy(state, grouping, shots: int, seed: int):
     energy = grouping.constant
     variance_of_mean = 0.0
     per_group = []
-    group_exact = []
-    for gid, group in enumerate(grouping.groups):
+    for group in grouping.groups:
         amp = rotate_to_group_basis(state, group.basis_x, group.basis_z)
         probs = np.abs(amp) ** 2
         probs = probs / probs.sum()
@@ -477,12 +476,10 @@ def sample_energy(state, grouping, shots: int, seed: int):
         second = float(np.add.reduce(counts * values**2)) / shots
         variance_of_mean += max(second - mean * mean, 0.0) / shots
         energy += mean
-        per_group.append((gid, mean, shots))
-        group_exact.append(float(np.add.reduce(probs * values)))
+        per_group.append((mean, float(np.add.reduce(probs * values))))
     return ShotEstimate(
         energy=energy,
         per_group=tuple(per_group),
-        group_exact=tuple(group_exact),
         seed=seed,
         shots=shots,
         constant=grouping.constant,

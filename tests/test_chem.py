@@ -82,6 +82,16 @@ class TestParse:
         assert (ints.n_orbitals, ints.n_electrons) == (2, 2)
         assert ints.g2[0, 0, 0, 0] == 0.5 and ints.h1[1, 1] == -1.0
 
+    @pytest.mark.parametrize("end", ["&end", "&End", "/"])
+    def test_namelist_delimiters_in_any_case(self, fixtures_dir, end):
+        text = (fixtures_dir / "dimer_d1.00.fcidump").read_text()
+        shipped = parse_fcidump(text)
+        assert " &END\n" in text
+        ints = parse_fcidump(text.replace(" &END\n", f" {end}\n").replace("&FCI", "&fci"))
+        assert (ints.n_orbitals, ints.n_electrons, ints.ms2) == (2, 2, 0)
+        assert ints.e_nuclear == shipped.e_nuclear
+        assert np.array_equal(ints.h1, shipped.h1) and np.array_equal(ints.g2, shipped.g2)
+
     def test_orbital_energy_lines_are_ignored(self):
         ints = parse_fcidump(SAMPLE)
         # the '0.33 1 0 0 0' line must not leak into h1

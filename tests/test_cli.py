@@ -1757,6 +1757,71 @@ class TestNonFiniteTokens:
         assert f"{bad}: invalid JSON: {token} is not a JSON value" in result.output
         assert not (tmp_path / "new").exists()
 
+    def test_numbers_past_float64_exit_parse(self, runner, fixtures_dir, tmp_path):
+        # Python's reader turns the literal 1e400 into inf, which no reader may take
+        energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
+        trace_path = TestExtrapolateCommand().make_trace(tmp_path, energies)
+        trace = json.loads(trace_path.read_text())
+        trace["iterations"][0]["energy"] = 1234.5
+        trace_path.write_text(json.dumps(trace).replace("1234.5", "1e400"))
+        ham_path = tmp_path / "h.json"
+        run_checked(runner, ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), "--output", str(ham_path)])
+        big_coeff = tmp_path / "big.json"
+        ham = json.loads(ham_path.read_text())
+        ham["terms"][0]["coeff"] = 1234.5
+        big_coeff.write_text(json.dumps(ham).replace("1234.5", "1e400"))
+        circuit = tmp_path / "c.json"
+        circuit.write_text('{"reference": "1100", "generators": [{"pauli": "YXII", "tau": 1e400}]}')
+        new = tmp_path / "new"
+        for args in [
+            ["extrapolate", trace_path, "--discard", "2", "--window", "5",
+             "--curve", new / "c.csv", "--output", new / "e.json"],
+            ["measure", ham_path, "--circuit", circuit, "--output", new / "m.json"],
+            ["measure", big_coeff, "--output", new / "m.json"],
+        ]:
+            result = runner.invoke(main, list(map(str, args)))
+            assert result.exit_code == 2, result.output
+            assert "inf is not a finite JSON number" in result.stderr
+            assert not new.exists()
+
+
+class TestJsonListItems:
+    """An item of an outside-JSON list that must be an object is type-checked
+    like any other value, and a manifest names a missing key as _parse does."""
+
+    def test_messages(self, runner, fixtures_dir, tmp_path):
+        energies = [-3.25 + 10.0 ** (-0.09 * i + 0.4) for i in range(46)]
+        trace_path = TestExtrapolateCommand().make_trace(tmp_path, energies)
+        trace = json.loads(trace_path.read_text())
+        trace["iterations"][2] = "it"
+        trace_path.write_text(json.dumps(trace))
+        ham_path = tmp_path / "h.json"
+        run_checked(runner, ["ham", str(fixtures_dir / "dimer_d1.00.fcidump"), "--output", str(ham_path)])
+        ham = json.loads(ham_path.read_text())
+        ham["terms"][1] = "term"
+        bad_terms = tmp_path / "terms.json"
+        bad_terms.write_text(json.dumps(ham))
+        circuit = tmp_path / "c.json"
+        circuit.write_text(json.dumps({"reference": "1100", "generators": ["gen"]}))
+        entry = {"label": "a", "fcidump": str(fixtures_dir / "dimer_d1.00.fcidump")}
+        manifests = {}
+        for name, geometries in [("items", [entry, "geometry"]), ("label", [{"fcidump": entry["fcidump"]}])]:
+            manifests[name] = tmp_path / f"{name}.json"
+            manifests[name].write_text(json.dumps({"schema": "qcc-manifest/1", "geometries": geometries}))
+        for args, code, line in [
+            (["extrapolate", trace_path], 2, f"error: {trace_path}: malformed content: "
+                                             "TypeError(\"'it' is not a JSON object\")"),
+            (["measure", bad_terms], 2, f"error: {bad_terms}: malformed content: "
+                                        "TypeError(\"'term' is not a JSON object\")"),
+            (["measure", ham_path, "--circuit", circuit], 2, f"error: {circuit}: malformed content: "
+                                                             "TypeError(\"'gen' is not a JSON object\")"),
+            (["qcc", manifests["items"]], 4, f"error: {manifests['items']}: 'geometry' is not a JSON object"),
+            (["pes", manifests["label"]], 4, f"error: {manifests['label']}: missing key 'label'"),
+        ]:
+            result = runner.invoke(main, list(map(str, args)))
+            assert result.exit_code == code, result.output
+            assert result.stderr == line + "\n"
+
 
 # Any JSON value: integers past float64 and nesting included, NaN and Infinity
 # excluded. Scalars are drawn as often as containers of any depth.
@@ -1938,6 +2003,20 @@ class TestTracedNames:
         )
         assert len(list(out_dir.glob("*.shots.json"))) == 3
         assert calls == [4, 4, 4]
+
+
+class TestReadme:
+    def test_examples_run_as_shown(self, runner, monkeypatch, capsys):
+        # the README's paths are relative to the repository root
+        root = FIXTURES.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        monkeypatch.chdir(root)
+        command = "$ qccvqe fci fixtures/dimer_d1.00.fcidump\n"
+        shown = readme.split(command, 1)[1].split("```", 1)[0]
+        assert shown == run_checked(runner, command.split()[2:]).stdout
+        library = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(library, "README.md", "exec"), {})
+        assert float(capsys.readouterr().out) >= 0.0
 
 
 class TestVersion:

@@ -79,17 +79,19 @@ class TestExactGround:
         # sum of Z has ground -3 globally but +1 in the one-electron sector
         h = QubitHamiltonian.from_labels({"ZII": 1.0, "IZI": 1.0, "IIZ": 1.0})
         assert exact_ground(h).energy == pytest.approx(-3.0, abs=1e-12)
-        sector = exact_ground(h, sector_basis("jordan_wigner", 3, 1))
+        basis = sector_basis("jordan_wigner", 3, 1)
+        sector = exact_ground(h, basis)
         assert sector.energy == pytest.approx(1.0, abs=1e-12)
-        occupations = np.flatnonzero(np.abs(sector.vector) > 1e-12)
+        occupations = basis[np.abs(sector.vector) > 1e-12]
         assert all(int(i).bit_count() == 1 for i in occupations)
 
     def test_single_state_sector(self):
         h = QubitHamiltonian.from_labels({"ZZ": 1.0, "XX": 0.5})
-        ground = exact_ground(h, sector_basis("jordan_wigner", 2, 2))
+        basis = sector_basis("jordan_wigner", 2, 2)
+        ground = exact_ground(h, basis)
         # only |11> has two electrons; its energy is the diagonal entry
         assert ground.energy == pytest.approx(1.0, abs=1e-12)
-        assert np.argmax(np.abs(ground.vector)) == 3
+        assert basis[np.argmax(np.abs(ground.vector))] == 3
 
     def test_refuses_empty_sector_and_malformed_basis(self):
         h = QubitHamiltonian.from_labels({"ZZ": 1.0})
@@ -222,9 +224,8 @@ class TestSectorBasis:
                 ground = exact_ground(h, basis)
                 expected = float(np.linalg.eigvalsh(block)[0])
                 assert ground.energy == pytest.approx(expected, abs=1e-10)
-                assert np.all(np.delete(ground.vector, keep) == 0)
-                inside = ground.vector[keep]
-                residual = block @ inside - ground.energy * inside
+                assert ground.vector.shape == keep.shape and ground.vector.dtype == vals.dtype
+                residual = block @ ground.vector - ground.energy * ground.vector
                 assert np.linalg.norm(residual) < 1e-8
 
     def test_degenerate_sector_ground(self):
@@ -288,9 +289,7 @@ class TestBlocks:
         ground = exact_ground(h, basis)
         assert ground.energy == pytest.approx(whole[0], abs=1e-12)
         assert ground.degenerate == bool(whole[1] - whole[0] < 1e-9)
-        inside = ground.vector[basis]
-        assert np.all(np.delete(ground.vector, basis) == 0)
-        assert np.linalg.norm(mat @ inside - ground.energy * inside) < 1e-8
+        assert np.linalg.norm(mat @ ground.vector - ground.energy * ground.vector) < 1e-8
         assert ground.residual < 1e-8
 
     @pytest.mark.parametrize("mapping", ["jordan_wigner", "parity"])

@@ -238,7 +238,7 @@ class TestExpectation:
             "amp = rng.normal(size=1 << 14) + 1j * rng.normal(size=1 << 14)\n"
             "state = Statevector(14, amp / np.add.reduce(abs(amp) ** 2) ** 0.5)\n"
             "est = sample_energy(state, group_qwc(reference.random_hamiltonian(rng, 14, 12)), 4000, 5)\n"
-            "print(repr((est.energy, est.std_error, est.group_exact)))\n"
+            "print(repr((est.energy, est.std_error, est.per_group)))\n"
         )
         tests = Path(__file__).resolve().parent
         path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
@@ -339,16 +339,15 @@ class TestSampling:
         state, h = case
         grouping = group_qwc(h)
         estimate = sample_energy(state, grouping, shots=shots, seed=seed)
-        assert len(estimate.group_exact) == len(grouping.groups)
-        for group, exact in zip(grouping.groups, estimate.group_exact):
+        assert len(estimate.per_group) == len(grouping.groups)
+        for group, (_, exact) in zip(grouping.groups, estimate.per_group):
             members = QubitHamiltonian(state.n_qubits, group.members)
             assert exact == pytest.approx(expectation(state, members), abs=1e-12)
-        assert estimate.constant + sum(estimate.group_exact) == pytest.approx(
+        assert estimate.constant + sum(exact for _, exact in estimate.per_group) == pytest.approx(
             expectation(state, h), abs=1e-12
         )
         assert per_group_error(estimate) == [
-            (gid, exact - sampled)
-            for (gid, sampled, _), exact in zip(estimate.per_group, estimate.group_exact)
+            (gid, exact - sampled) for gid, (sampled, exact) in enumerate(estimate.per_group)
         ]
 
     def test_eigenstate_sampling_is_exact(self):
@@ -374,7 +373,7 @@ class TestSampling:
         assert a.energy != c.energy
         assert a.rng == "numpy-pcg64-multinomial"
         assert a.shots == 2000
-        assert [gid for gid, _, _ in a.per_group] == list(range(len(grouping.groups)))
+        assert len(a.per_group) == len(grouping.groups)
 
     def test_mean_estimate_is_unbiased(self):
         rng = np.random.default_rng(RNG_SEED + 9)
